@@ -17,7 +17,6 @@ import (
 	"context"
 
 	"spatialseq/internal/dataset"
-	"spatialseq/internal/obs"
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/query"
 	"spatialseq/internal/simil"
@@ -25,37 +24,30 @@ import (
 	"spatialseq/internal/topk"
 )
 
+// Options carries the optional observers of a search; the zero value
+// observes nothing.
+type Options struct {
+	// Stats, when non-nil, collects per-search counters (candidates,
+	// pruned prefixes, scored tuples).
+	Stats *stats.Stats
+	// Span, when live, is the parent span the search nests its timeline
+	// under: the baseline runs one worker over one whole-space
+	// "subspace", so its timeline is a single lane. The zero Span
+	// disables span tracing at no cost.
+	Span span.Span
+}
+
 // Search answers q exactly. The query must be validated. The context lets
 // the evaluation harness cut off runs that would exceed its time budget
 // (the paper reports ">24hours" cells for this baseline); on cancellation
 // Search returns ctx.Err() and a nil result.
-func Search(ctx context.Context, ds *dataset.Dataset, q *query.Query) ([]topk.Entry, error) {
-	return SearchStats(ctx, ds, q, nil)
-}
-
-// SearchStats is Search with optional per-search counters.
-func SearchStats(ctx context.Context, ds *dataset.Dataset, q *query.Query, st *stats.Stats) ([]topk.Entry, error) {
-	return SearchTraced(ctx, ds, q, st, nil)
-}
-
-// SearchTraced is SearchStats with optional per-phase wall-time tracing
-// (candidate enumeration, DFS, top-k merge). Both st and tr may be nil.
-func SearchTraced(ctx context.Context, ds *dataset.Dataset, q *query.Query, st *stats.Stats, tr *obs.Trace) ([]topk.Entry, error) {
-	return SearchObserved(ctx, ds, q, st, tr, span.Span{})
-}
-
-// SearchObserved is SearchTraced with hierarchical span tracing nested
-// under parent: the baseline runs one worker over one whole-space
-// "subspace", so its timeline is a single lane. The zero parent Span
-// disables span tracing at no cost.
-func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st *stats.Stats, tr *obs.Trace, parent span.Span) ([]topk.Entry, error) {
+func Search(ctx context.Context, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sctx := simil.NewContext(ds, q)
 	m := sctx.M
-	ws := parent.Worker("dfs.worker", 0)
-	sp := tr.Start("dfs.candidates")
+	ws := opt.Span.Worker("dfs.worker", 0)
 	csp := ws.Child("dfs.candidates")
 	cands := make([][]simil.Cand, m)
 	var candTotal int64
@@ -67,11 +59,7 @@ func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st
 		}
 		candTotal += int64(len(cands[d]))
 	}
-	st.AddCandidates(candTotal)
-	st.RaiseSubspaceCandidates(candTotal)
 	csp.End()
-	sp.End()
-	st.AddSubspaces(1) // the baseline searches the whole space as one
 	heap := topk.New(q.Params.K)
 	s := &searcher{
 		ctx:     ctx,
@@ -80,31 +68,20 @@ func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st
 		heap:    heap,
 		tuple:   make([]int32, m),
 		scratch: sctx.NewScratch(),
+		// the baseline searches the whole space as one subspace
+		work: stats.Snapshot{Subspaces: 1, Candidates: candTotal, SubspaceCandidatesMax: candTotal},
 	}
-	sp = tr.Start("dfs.search")
 	sub := ws.Subspace("dfs.search", 0)
 	err := s.dfs(0, 0)
-	sub.EndWork(stats.Snapshot{
-		Subspaces:             1,
-		Candidates:            candTotal,
-		PrunedPrefixes:        s.pruned,
-		Tuples:                s.tuples,
-		Offered:               s.offered,
-		SubspaceCandidatesMax: candTotal,
-	})
-	sp.End()
-	st.AddPrunedPrefixes(s.pruned)
-	st.AddTuples(s.tuples)
-	st.AddOffered(s.offered)
+	opt.Stats.AddSnapshot(s.work)
+	sub.EndWork(s.work)
 	ws.End()
 	if err != nil {
 		return nil, err
 	}
-	sp = tr.Start("topk.merge")
-	msp := parent.Child("topk.merge")
+	msp := opt.Span.Child("topk.merge")
 	res := heap.Results()
 	msp.End()
-	sp.End()
 	return res, nil
 }
 
@@ -116,8 +93,8 @@ type searcher struct {
 	tuple   []int32
 	scratch *simil.Scratch
 	steps   int
-
-	pruned, tuples, offered int64
+	// work batches the search's counters in plain ints.
+	work stats.Snapshot
 }
 
 // checkEvery bounds how often the cancellation context is polled.
@@ -144,16 +121,16 @@ func (s *searcher) dfs(dim int, attrSum float64) error {
 		// deliberately does not.)
 		attrBound := c.AttrBoundLoose(sum, dim+1)
 		if !s.heap.WouldAccept(c.Combine(1, attrBound)) {
-			s.pruned++
+			s.work.PrunedPrefixes++
 			continue
 		}
 		s.tuple[dim] = cand.Pos
 		added := s.scratch.Push(c.DS.Loc(int(cand.Pos)), cand.Sim)
 		if dim+1 == c.M {
-			s.tuples++
+			s.work.Tuples++
 			if c.NormOK(s.scratch.PrefixNorm()) {
 				if s.heap.Offer(s.tuple, c.TupleSim(s.scratch.Y, s.scratch.AttrSims)) {
-					s.offered++
+					s.work.Offered++
 				}
 			}
 		} else {
@@ -163,7 +140,7 @@ func (s *searcher) dfs(dim int, attrSum float64) error {
 					return err
 				}
 			} else {
-				s.pruned++
+				s.work.PrunedPrefixes++
 			}
 		}
 		s.scratch.Pop(added)

@@ -27,7 +27,7 @@ func TestSEQMatchesBrute(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := simsOf(brute.Search(ds, q))
-		got, err := Search(context.Background(), ds, q)
+		got, err := Search(context.Background(), ds, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestNoDuplicateObjectsInResults(t *testing.T) {
 	if err := q.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Search(context.Background(), ds, q)
+	got, err := Search(context.Background(), ds, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	if err := q.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
-	a, err := Search(context.Background(), ds, q)
+	a, err := Search(context.Background(), ds, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Search(context.Background(), ds, q)
+	b, err := Search(context.Background(), ds, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCancellationMidSearch(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Search(ctx, ds, q); err == nil {
+	if _, err := Search(ctx, ds, q, Options{}); err == nil {
 		t.Error("cancelled context should abort")
 	}
 }

@@ -19,13 +19,10 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sync"
-	"time"
 
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
-	"spatialseq/internal/obs"
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
@@ -60,11 +57,11 @@ type Options struct {
 	// order-independent). The unit of parallel work is smaller than a
 	// subspace: prepared subspaces are split into dim-0 candidate chunks
 	// workers steal from a shared scheduler, so one fat subspace no
-	// longer caps speedup. <= 1 searches sequentially; negative uses
-	// GOMAXPROCS.
+	// longer caps speedup. <= 1 searches on the caller's goroutine,
+	// subspace by subspace; negative uses GOMAXPROCS.
 	Parallelism int
-	// Steal tunes the work-unit scheduler of the parallel path (chunk
-	// sizing of the stolen dim-0 ranges). The zero value auto-sizes.
+	// Steal tunes the work-unit scheduler (chunk sizing of the stolen
+	// dim-0 ranges). The zero value auto-sizes.
 	Steal sched.Tuning
 	// Own, when non-nil, restricts the search to the subspaces whose core
 	// rectangle it claims. The sharded serving tier hands each shard a
@@ -81,17 +78,12 @@ type Options struct {
 	// Stats, when non-nil, collects per-search counters (subspaces,
 	// candidates, pruned prefixes, scored tuples).
 	Stats *stats.Stats
-	// Trace, when non-nil, records per-phase wall time (partitioning,
-	// candidate enumeration, DFS, top-k merge). With Parallelism > 1
-	// the phase times sum across workers and can exceed wall time.
-	Trace *obs.Trace
 	// Span, when live, is the parent span the search nests its
-	// hierarchical timeline under. The sequential path opens one worker
-	// lane with a subspace span per searched subspace; the parallel path
-	// opens one "hsp.prep" / "hsp.chunk" unit span per stolen work unit,
-	// each tagged with both its worker lane and owning subspace and
-	// carrying that unit's work-counter delta. The zero Span disables
-	// span tracing at no cost.
+	// hierarchical timeline under: one "hsp.prep" / "hsp.chunk" unit
+	// span per work unit, each tagged with both its worker lane and
+	// owning subspace and carrying that unit's work-counter delta. With
+	// one worker each searched subspace is one prep and one chunk on
+	// lane 0. The zero Span disables span tracing at no cost.
 	Span span.Span
 }
 
@@ -107,11 +99,9 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		// Ablation flag: one subspace covering everything stays exact.
 		radius = math.Inf(1)
 	}
-	sp := opt.Trace.Start("hsp.partition")
 	psp := opt.Span.Child("hsp.partition")
 	part, err := ix.PartitionBucketed(radius)
 	psp.End()
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -141,313 +131,110 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// parallelizes.
 	// With more than one subspace the overlapping ac-regions revisit the
 	// same (dimension, object) pairs, so memoize the attribute cosines:
-	// lazily on the sequential path, eagerly (read-only, worker-safe) when
-	// subspaces run in parallel. A single subspace has no reuse to win.
+	// lazily with one worker, eagerly (read-only, worker-safe) when
+	// several share the Context. A single subspace has no reuse to win.
 	if len(work) > 1 {
-		sp = opt.Trace.Start("hsp.simprep")
 		ssp := opt.Span.Child("hsp.simprep")
 		if workers > 1 {
-			opt.Stats.AddAttrSimMemoMisses(sctx.PrepareMemoShared())
+			opt.Stats.AddSnapshot(stats.Snapshot{AttrSimMemoMisses: sctx.PrepareMemoShared()})
 		} else {
 			sctx.EnableMemo()
 		}
 		ssp.End()
-		sp.End()
 	}
-	if workers <= 1 {
-		var heap topk.ResultSink = topk.New(q.Params.K)
-		if opt.Sink != nil {
-			heap = opt.Sink
+	sink := opt.Sink
+	if sink == nil {
+		if workers > 1 {
+			sink = topk.NewConcurrent(q.Params.K)
+		} else {
+			sink = topk.New(q.Params.K)
 		}
-		s := newSearcher(ctx, sctx, heap, opt)
-		ws := opt.Span.Worker("hsp.worker", 0)
-		for i, ss := range work {
-			sub := ws.Subspace("hsp.subspace", i)
-			if err := s.searchSubspace(ds, q, ss, sub); err != nil {
-				ws.End()
-				return nil, err
-			}
+	}
+	err = sched.Run(len(work), workers, hspMinChunk, opt.Steal, func(w int) sched.Worker[prepState] {
+		return &searcher{
+			ctx:         ctx,
+			sctx:        sctx,
+			q:           q,
+			work:        work,
+			lane:        w,
+			heap:        sink,
+			tuple:       make([]int32, sctx.M),
+			scratch:     sctx.NewScratch(),
+			loose:       opt.LooseBounds,
+			sortedBreak: opt.SortedBreak,
+			// With a shared (eagerly filled) memo the Context counts
+			// nothing; each worker tallies its own hits instead.
+			countHits: sctx.MemoShared(),
+			st:        opt.Stats,
+			span:      opt.Span,
 		}
-		ws.End()
-		h, mi := sctx.MemoCounters()
-		opt.Stats.AddAttrSimMemoHits(h)
-		opt.Stats.AddAttrSimMemoMisses(mi)
-		sp = opt.Trace.Start("topk.merge")
-		msp := opt.Span.Child("topk.merge")
-		res := heap.Results()
-		msp.End()
-		sp.End()
-		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	var sink topk.ResultSink = topk.NewConcurrent(q.Params.K)
-	if opt.Sink != nil {
-		sink = opt.Sink
-	}
-	tun := opt.Steal
-	if tun.MinChunk <= 0 {
-		tun.MinChunk = hspMinChunk
-	}
-	run := &stealRun{
-		sch:   sched.New(len(work), workers, tun),
-		work:  work,
-		preps: make([]*prepState, len(work)),
-	}
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		callErr error
-	)
-	record := func(err error) {
-		errOnce.Do(func() { callErr = err })
-		run.sch.Abort()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := newSearcher(ctx, sctx, sink, opt)
-			for {
-				u, ok := run.sch.Acquire()
-				if !ok {
-					return
-				}
-				var err error
-				if u.Prep {
-					err = s.prepUnit(ds, q, run, u.Sub, w, opt.Span)
-				} else {
-					err = s.chunkUnit(run, u, w, opt.Span)
-				}
-				if err != nil {
-					record(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if callErr != nil {
-		return nil, callErr
-	}
-	sp = opt.Trace.Start("topk.merge")
+	// The lazy memo counts in the Context; the shared one counted above.
+	h, mi := sctx.MemoCounters()
+	opt.Stats.AddSnapshot(stats.Snapshot{AttrSimMemoHits: h, AttrSimMemoMisses: mi})
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
 	msp.End()
-	sp.End()
 	return res, nil
 }
 
-// stealRun is the shared state of one parallel stealing search: the
-// work-unit scheduler, the prepared-subspace handoff slots, and a small
-// recycling pool of prep states (bounded by the worker count, because
-// the scheduler drains queued chunks before starting new preps).
-// preps[i] is written by the preparing worker before Publish and read
-// by chunk workers after Acquire; the scheduler's lock orders the two.
-type stealRun struct {
-	sch   *sched.Scheduler
-	work  []*partition.Subspace
-	preps []*prepState
-
-	mu   sync.Mutex
-	pool []*prepState
+// Prep prepares one subspace — exactly once per subspace, keeping the
+// Lemma-1 discipline — and returns its dim-0 candidate count. The prep
+// span carries the subspace-level work delta (candidate volume, skip
+// marks, memo hits); enumeration counters land on the chunk spans.
+func (s *searcher) Prep(p *prepState, sub int) (int, error) {
+	sp := s.span.Unit("hsp.prep", s.lane, sub)
+	if s.prepareInto(p, s.work[sub]) {
+		s.unit.SubspacesSkipped = 1
+		s.flush(sp)
+		return 0, nil
+	}
+	s.unit.Subspaces = 1
+	s.unit.SubspaceCandidatesMax = s.unit.Candidates
+	s.flush(sp)
+	return len(p.cands[0]), nil
 }
 
-func (r *stealRun) take() *prepState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.pool); n > 0 {
-		p := r.pool[n-1]
-		r.pool = r.pool[:n-1]
-		return p
-	}
-	return new(prepState)
-}
-
-func (r *stealRun) put(p *prepState) {
-	r.mu.Lock()
-	r.pool = append(r.pool, p)
-	r.mu.Unlock()
-}
-
-// prepUnit prepares one subspace — exactly once per subspace, keeping
-// the Lemma-1 discipline — and publishes its dim-0 candidate range to
-// the scheduler as steal-able chunks. The prep span carries the
-// subspace-level work delta (candidate volume, skip marks, memo hits);
-// enumeration counters land on the chunk spans.
-func (s *searcher) prepUnit(ds *dataset.Dataset, q *query.Query, run *stealRun, sub, w int, parent span.Span) error {
-	s.local = localCounters{}
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	p := run.take()
-	sp := parent.Unit("hsp.prep", w, sub)
-	skip, err := s.prepareInto(p, ds, q, run.work[sub])
-	if s.tr != nil {
-		s.tr.Add("hsp.candidates", time.Since(t0))
-	}
-	if err != nil || skip {
-		if skip {
-			s.st.AddSubspacesSkipped(1)
-			sp.EndWork(stats.Snapshot{SubspacesSkipped: 1, AttrSimMemoHits: s.local.memoHits})
-		} else {
-			sp.End()
-		}
-		s.st.AddAttrSimMemoHits(s.local.memoHits)
-		run.sch.Publish(sub, 0)
-		run.put(p)
-		return err
-	}
-	s.st.AddSubspaces(1)
-	s.st.AddCandidates(p.candTotal)
-	s.st.RaiseSubspaceCandidates(p.candTotal)
-	s.st.AddAttrSimMemoHits(s.local.memoHits)
-	sp.EndWork(stats.Snapshot{
-		Subspaces:             1,
-		Candidates:            p.candTotal,
-		AttrSimMemoHits:       s.local.memoHits,
-		SubspaceCandidatesMax: p.candTotal,
-	})
-	run.preps[sub] = p
-	if run.sch.Publish(sub, len(p.cands[0])) == 0 {
-		// Aborted before any chunk was queued: no Done will follow, so
-		// reclaim the prepared state here.
-		run.preps[sub] = nil
-		run.put(p)
-	}
-	return nil
-}
-
-// chunkUnit runs Exact-DFS over one stolen chunk: the dim-0 candidate
-// range [u.Lo, u.Hi) of an already-prepared subspace. The chunk span
-// carries the enumeration work delta, attributed to the owning
-// subspace, so Tree.Skew keeps measuring per-lane busy time and the
-// straggler attribution keeps naming the heaviest subspace.
-func (s *searcher) chunkUnit(run *stealRun, u sched.Unit, w int, parent span.Span) error {
-	p := run.preps[u.Sub]
-	s.local = localCounters{}
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	sp := parent.Unit("hsp.chunk", w, u.Sub)
+// Chunk runs Exact-DFS over the dim-0 candidate range [lo, hi) of an
+// already-prepared subspace. The chunk span carries the enumeration
+// work delta, attributed to the owning subspace, so Tree.Skew keeps
+// measuring per-lane busy time and the straggler attribution keeps
+// naming the heaviest subspace.
+func (s *searcher) Chunk(p *prepState, sub, lo, hi int) error {
+	sp := s.span.Unit("hsp.chunk", s.lane, sub)
 	s.attach(p)
-	err := s.dfs(0, 0, u.Lo, u.Hi)
-	if s.tr != nil {
-		s.tr.Add("hsp.dfs", time.Since(t0))
-	}
-	s.st.AddPrunedPrefixes(s.local.pruned)
-	s.st.AddTuples(s.local.tuples)
-	s.st.AddOffered(s.local.offered)
-	sp.EndWork(stats.Snapshot{
-		PrunedPrefixes: s.local.pruned,
-		Tuples:         s.local.tuples,
-		Offered:        s.local.offered,
-	})
-	if run.sch.Done(u.Sub) {
-		run.preps[u.Sub] = nil
-		run.put(p)
-	}
+	err := s.dfs(0, 0, lo, hi)
+	s.flush(sp)
 	return err
 }
 
-func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, opt Options) *searcher {
-	return &searcher{
-		ctx:         ctx,
-		sctx:        sctx,
-		heap:        sink,
-		tuple:       make([]int32, sctx.M),
-		scratch:     sctx.NewScratch(),
-		loose:       opt.LooseBounds,
-		sortedBreak: opt.SortedBreak,
-		// With a shared (eagerly filled) memo the Context counts nothing;
-		// each worker tallies its own hits in the local batch instead.
-		countHits: sctx.MemoShared(),
-		st:        opt.Stats,
-		tr:        opt.Trace,
-	}
-}
-
-// searchSubspace prepares and runs Exact-DFS over one subspace — the
-// sequential path, where prep and enumeration stay on one goroutine.
-// The sub span (a no-op when span tracing is off) is closed on every
-// return path, carrying this subspace's work-counter delta.
-func (s *searcher) searchSubspace(ds *dataset.Dataset, q *query.Query, ss *partition.Subspace, sub span.Span) error {
-	s.local = localCounters{}
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	csp := sub.Child("hsp.candidates")
-	if s.own == nil {
-		s.own = new(prepState)
-	}
-	skip, err := s.prepareInto(s.own, ds, q, ss)
-	csp.End()
-	if s.tr != nil {
-		s.tr.Add("hsp.candidates", time.Since(t0))
-	}
-	if err != nil || skip {
-		if skip {
-			s.st.AddSubspacesSkipped(1)
-			sub.EndWork(stats.Snapshot{SubspacesSkipped: 1, AttrSimMemoHits: s.local.memoHits})
-		} else {
-			sub.End()
-		}
-		s.st.AddAttrSimMemoHits(s.local.memoHits)
-		return err
-	}
-	s.st.AddSubspaces(1)
-	candTotal := s.own.candTotal
-	s.st.AddCandidates(candTotal)
-	s.st.RaiseSubspaceCandidates(candTotal)
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	dsp := sub.Child("hsp.dfs")
-	s.attach(s.own)
-	err = s.dfs(0, 0, 0, len(s.cands[0]))
-	dsp.End()
-	if s.tr != nil {
-		s.tr.Add("hsp.dfs", time.Since(t0))
-	}
-	s.st.AddPrunedPrefixes(s.local.pruned)
-	s.st.AddTuples(s.local.tuples)
-	s.st.AddOffered(s.local.offered)
-	s.st.AddAttrSimMemoHits(s.local.memoHits)
-	sub.EndWork(stats.Snapshot{
-		Subspaces:             1,
-		Candidates:            candTotal,
-		PrunedPrefixes:        s.local.pruned,
-		Tuples:                s.local.tuples,
-		Offered:               s.local.offered,
-		AttrSimMemoHits:       s.local.memoHits,
-		SubspaceCandidatesMax: candTotal,
-	})
-	return err
-}
-
-// localCounters batch the per-subspace statistics so the DFS hot loop
-// touches plain ints, not atomics.
-type localCounters struct {
-	pruned, tuples, offered, memoHits int64
+// flush publishes the unit's counter batch to the query totals and to
+// its span, then starts a fresh batch.
+func (s *searcher) flush(sp span.Span) {
+	s.st.AddSnapshot(s.unit)
+	sp.EndWork(s.unit)
+	s.unit = stats.Snapshot{}
 }
 
 // prepState is one subspace's prepared search state: the per-dimension
-// candidate lists and Eq. 6 suffix maxima. On the sequential path each
-// searcher owns one and reuses it across subspaces; on the stealing
-// path prep states are pooled, handed from the preparing worker to
-// chunk workers (read-only during enumeration), and recycled when the
-// subspace's last chunk finishes.
+// candidate lists and Eq. 6 suffix maxima. sched.Run pools prep states,
+// hands them from the preparing worker to chunk workers (read-only
+// during enumeration), and recycles them when the subspace's last chunk
+// finishes.
 type prepState struct {
 	cands      [][]simil.Cand
 	rbarSuffix []float64
-	candTotal  int64
 }
 
 type searcher struct {
 	ctx         context.Context
 	sctx        *simil.Context
+	q           *query.Query
+	work        []*partition.Subspace
+	lane        int
 	heap        topk.Sink
 	tuple       []int32
 	scratch     *simil.Scratch
@@ -456,15 +243,16 @@ type searcher struct {
 	sortedBreak bool
 	countHits   bool
 
-	// own is the sequential path's reusable prep state; cands/rbarSuffix
-	// are views of whichever prep state is attached for the current DFS.
-	own        *prepState
+	// cands/rbarSuffix are views of the prep state attached for the
+	// current DFS.
 	cands      [][]simil.Cand
 	rbarSuffix []float64
 	steps      int
 	st         *stats.Stats
-	tr         *obs.Trace
-	local      localCounters
+	span       span.Span
+	// unit batches the current unit's counters so the DFS hot loop
+	// touches plain ints, not atomics.
+	unit stats.Snapshot
 }
 
 // attach points the DFS at a prepared subspace's candidate lists and
@@ -476,30 +264,30 @@ func (s *searcher) attach(p *prepState) {
 }
 
 // prepareInto builds the per-subspace candidate lists and Eq. 6 suffix
-// maxima into p. It reports skip=true when some dimension has no
-// candidate (the subspace cannot produce a tuple) or a pinned object
-// falls outside the ac-subspace.
-func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query, ss *partition.Subspace) (skip bool, err error) {
+// maxima into p, counting the candidate volume into the unit batch. It
+// reports skip=true when some dimension has no candidate (the subspace
+// cannot produce a tuple) or a pinned object falls outside the
+// ac-subspace.
+func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool) {
 	c := s.sctx
 	m := c.M
 	if p.cands == nil {
 		p.cands = make([][]simil.Cand, m)
 		p.rbarSuffix = make([]float64, m+1)
 	}
-	p.candTotal = 0
 	for d := 0; d < m; d++ {
-		if fixed := q.Example.FixedDim(d); fixed >= 0 {
-			loc := ds.Loc(int(fixed))
+		if fixed := s.q.Example.FixedDim(d); fixed >= 0 {
+			loc := c.DS.Loc(int(fixed))
 			region := ss.AC
 			if d == 0 {
 				region = ss.Core
 			}
 			if !region.Contains(loc) {
-				return true, nil
+				return true
 			}
 			p.cands[d] = append(p.cands[d][:0], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
 			if s.countHits {
-				s.local.memoHits++
+				s.unit.AttrSimMemoHits++
 			}
 			continue
 		}
@@ -509,7 +297,7 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 		}
 		p.cands[d] = s.candidatesInto(d, source, p.cands[d][:0])
 		if len(p.cands[d]) == 0 {
-			return true, nil
+			return true
 		}
 	}
 	p.rbarSuffix[m] = 0
@@ -517,9 +305,9 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 		p.rbarSuffix[d] = p.rbarSuffix[d+1] + p.cands[d][0].Sim
 	}
 	for d := 0; d < m; d++ {
-		p.candTotal += int64(len(p.cands[d]))
+		s.unit.Candidates += int64(len(p.cands[d]))
 	}
-	return false, nil
+	return false
 }
 
 // candidatesInto wraps the blocked simil.Context.CandidatesBatchInto
@@ -529,7 +317,7 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 func (s *searcher) candidatesInto(dim int, positions []int32, dst []simil.Cand) []simil.Cand {
 	dst = s.sctx.CandidatesBatchInto(dst, dim, positions, &s.batch)
 	if s.countHits {
-		s.local.memoHits += int64(len(dst))
+		s.unit.AttrSimMemoHits += int64(len(dst))
 	}
 	return dst
 }
@@ -564,7 +352,7 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 			attrBound = c.AttrBoundRefined(sum, dim+1, s.rbarSuffix)
 		}
 		if !s.heap.WouldAccept(c.Combine(1, attrBound)) {
-			s.local.pruned++
+			s.unit.PrunedPrefixes++
 			if s.sortedBreak {
 				// extension: the bound is monotone along the
 				// similarity-sorted list, so later candidates fail too
@@ -575,10 +363,10 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 		s.tuple[dim] = cand.Pos
 		added := s.scratch.Push(c.DS.Loc(int(cand.Pos)), cand.Sim)
 		if dim+1 == c.M {
-			s.local.tuples++
+			s.unit.Tuples++
 			if c.NormOK(s.scratch.PrefixNorm()) {
 				if s.heap.Offer(s.tuple, c.TupleSim(s.scratch.Y, s.scratch.AttrSims)) {
-					s.local.offered++
+					s.unit.Offered++
 				}
 			}
 		} else {
@@ -594,7 +382,7 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 					return err
 				}
 			} else {
-				s.local.pruned++
+				s.unit.PrunedPrefixes++
 			}
 		}
 		s.scratch.Pop(added)

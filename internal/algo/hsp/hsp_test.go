@@ -61,7 +61,7 @@ func TestExactnessAgainstBruteForce(t *testing.T) {
 				t.Errorf("config %d trial %d: HSP sims %v != brute %v", ci, trial, simsOf(gotHSP), want)
 			}
 
-			gotDFS, err := dfsprune.Search(context.Background(), ds, q)
+			gotDFS, err := dfsprune.Search(context.Background(), ds, q, dfsprune.Options{})
 			if err != nil {
 				t.Fatalf("config %d trial %d: DFS-Prune: %v", ci, trial, err)
 			}

@@ -40,7 +40,7 @@ func TestSkipPairsExactness(t *testing.T) {
 		if !simsEqual(simsOf(got), want, 1e-9) {
 			t.Errorf("trial %d: HSP with skipped pairs %v != brute %v", trial, simsOf(got), want)
 		}
-		gotDFS, err := dfsprune.Search(context.Background(), ds, q)
+		gotDFS, err := dfsprune.Search(context.Background(), ds, q, dfsprune.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -165,3 +165,57 @@ func TestSpanSequentialLane(t *testing.T) {
 		t.Errorf("single lane imbalance = %v, want 1", sk.ImbalanceRatio)
 	}
 }
+
+// TestSpanOneWorkerUnits: a Parallelism 0 search runs through the same
+// unit driver as the stealing path — only lane-0 "hsp.prep" /
+// "hsp.chunk" units, exactly one whole-subspace chunk per searched
+// subspace — and its skew report shows one non-parallel lane.
+func TestSpanOneWorkerUnits(t *testing.T) {
+	rng := rand.New(rand.NewSource(213))
+	ds := testutil.RandDataset(rng, 300, 3, 4, 100)
+	ix := buildIndex(ds)
+	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
+	q := testutil.RandQuery(rng, ds, 3, 20, params)
+	if err := q.Validate(ds); err != nil {
+		t.Fatal(err)
+	}
+	st := &stats.Stats{}
+	tr := span.NewTracer()
+	root := tr.Root("search")
+	if _, err := Search(context.Background(), ds, ix, q, Options{Parallelism: 0, Stats: st, Span: root}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	chunks := make(map[int32]int)
+	searched := make(map[int32]bool)
+	for _, n := range tr.Snapshot().Nodes {
+		switch n.Name {
+		case "hsp.prep", "hsp.chunk":
+			if n.Worker != 0 {
+				t.Errorf("%s span on lane %d, want lane 0", n.Name, n.Worker)
+			}
+			if n.Name == "hsp.chunk" {
+				chunks[n.Subspace]++
+			} else if n.Work != nil && n.Work.Subspaces == 1 {
+				searched[n.Subspace] = true
+			}
+		case "search", "hsp.partition", "hsp.simprep", "topk.merge":
+		default:
+			t.Errorf("unexpected span %q", n.Name)
+		}
+	}
+	if int64(len(searched)) != st.Snapshot().Subspaces || len(searched) == 0 {
+		t.Fatalf("%d searched prep spans, counters say %d subspaces", len(searched), st.Snapshot().Subspaces)
+	}
+	for sub := range searched {
+		if chunks[sub] != 1 {
+			t.Errorf("subspace %d ran in %d chunks, want 1", sub, chunks[sub])
+		}
+	}
+	if len(chunks) != len(searched) {
+		t.Errorf("chunks cover %d subspaces, %d were searched", len(chunks), len(searched))
+	}
+	if sk := tr.Skew(); sk == nil || sk.Workers != 1 || sk.Parallel {
+		t.Errorf("one-worker skew = %+v, want exactly one non-parallel lane", sk)
+	}
+}

@@ -26,14 +26,11 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
-	"time"
 
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
 	"spatialseq/internal/grid"
-	"spatialseq/internal/obs"
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
@@ -42,6 +39,10 @@ import (
 	"spatialseq/internal/stats"
 	"spatialseq/internal/topk"
 )
+
+// loraMinChunk floors the auto-sized steal chunks at one root cell: a
+// root cell already carries a whole cell-tuple subtree.
+const loraMinChunk = 1
 
 // Options tune implementation details; the zero value is the paper's LORA.
 type Options struct {
@@ -65,11 +66,12 @@ type Options struct {
 	// sequential LORA's — but the exact result set can vary between
 	// runs. The unit of parallel work is smaller than a subspace:
 	// prepared subspaces are split into chunks of their root cell list
-	// that workers steal from a shared scheduler. <= 1 searches
-	// sequentially; negative uses GOMAXPROCS.
+	// that workers steal from a shared scheduler. <= 1 searches on the
+	// caller's goroutine, subspace by subspace; negative uses
+	// GOMAXPROCS.
 	Parallelism int
-	// Steal tunes the work-unit scheduler of the parallel path (chunk
-	// sizing of the stolen root-cell ranges). The zero value auto-sizes.
+	// Steal tunes the work-unit scheduler (chunk sizing of the stolen
+	// root-cell ranges). The zero value auto-sizes.
 	Steal sched.Tuning
 	// Own, when non-nil, restricts the search to the subspaces whose core
 	// rectangle it claims; see hsp.Options.Own. Lemma 1's exactly-once
@@ -82,18 +84,12 @@ type Options struct {
 	// Stats, when non-nil, collects per-search counters (subspaces,
 	// cell tuples, rank-graph pops, sampling discards).
 	Stats *stats.Stats
-	// Trace, when non-nil, records per-phase wall time (partitioning,
-	// bucketing/sampling, cell enumeration, rank-graph point
-	// enumeration, top-k merge). With Parallelism > 1 the phase times
-	// sum across workers and can exceed wall time.
-	Trace *obs.Trace
 	// Span, when live, is the parent span the search nests its
-	// hierarchical timeline under. The sequential path opens one worker
-	// lane with a subspace span per searched subspace; the parallel path
-	// opens one "lora.prep" / "lora.chunk" unit span per stolen work
-	// unit, each tagged with both its worker lane and owning subspace
-	// and carrying that unit's work-counter delta. The zero Span
-	// disables span tracing at no cost.
+	// hierarchical timeline under: one "lora.prep" / "lora.chunk" unit
+	// span per work unit, each tagged with both its worker lane and
+	// owning subspace and carrying that unit's work-counter delta. With
+	// one worker each searched subspace is one prep and one chunk on
+	// lane 0. The zero Span disables span tracing at no cost.
 	Span span.Span
 }
 
@@ -104,11 +100,9 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	}
 	sctx := simil.NewContext(ds, q)
 	radius := sctx.PartitionRadius()
-	sp := opt.Trace.Start("lora.partition")
 	psp := opt.Span.Child("lora.partition")
 	part, err := ix.PartitionBucketed(radius)
 	psp.End()
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -132,173 +126,104 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// Workers are deliberately not capped at len(work): chunked stealing
 	// lets several workers share one subspace's root cell list.
 	// Overlapping ac-subspaces re-bucket the same (dimension, object)
-	// pairs; memoize the attribute cosines across them — lazily when
-	// sequential, eagerly (read-only) when subspace workers share the
-	// Context. One subspace means no reuse, so skip the table.
+	// pairs; memoize the attribute cosines across them — lazily with one
+	// worker, eagerly (read-only) when several share the Context. One
+	// subspace means no reuse, so skip the table.
 	if len(work) > 1 {
-		sp = opt.Trace.Start("lora.simprep")
 		ssp := opt.Span.Child("lora.simprep")
 		if workers > 1 {
-			opt.Stats.AddAttrSimMemoMisses(sctx.PrepareMemoShared())
+			opt.Stats.AddSnapshot(stats.Snapshot{AttrSimMemoMisses: sctx.PrepareMemoShared()})
 		} else {
 			sctx.EnableMemo()
 		}
 		ssp.End()
-		sp.End()
 	}
-	if workers <= 1 {
-		var heap topk.ResultSink = topk.New(q.Params.K)
-		if opt.Sink != nil {
-			heap = opt.Sink
+	sink := opt.Sink
+	if sink == nil {
+		if workers > 1 {
+			sink = topk.NewConcurrent(q.Params.K)
+		} else {
+			sink = topk.New(q.Params.K)
 		}
-		s := newSearcher(ctx, sctx, heap, q, opt)
-		ws := opt.Span.Worker("lora.worker", 0)
-		for i, ss := range work {
-			sub := ws.Subspace("lora.subspace", i)
-			if err := s.searchSubspace(ss, sub); err != nil {
-				ws.End()
-				return nil, err
-			}
+	}
+	err = sched.Run(len(work), workers, loraMinChunk, opt.Steal, func(w int) sched.Worker[prepState] {
+		return &searcher{
+			ctx:  ctx,
+			sctx: sctx,
+			heap: sink,
+			q:    q,
+			opt:  opt,
+			work: work,
+			lane: w,
+			// With a shared (eagerly filled) memo the Context counts
+			// nothing; each worker tallies its own hits instead.
+			countHits: sctx.MemoShared(),
+			tuple:     make([]int32, sctx.M),
+			asims:     make([]float64, sctx.M),
+			dist:      make([]float64, 0, sctx.Pairs),
 		}
-		ws.End()
-		h, mi := sctx.MemoCounters()
-		opt.Stats.AddAttrSimMemoHits(h)
-		opt.Stats.AddAttrSimMemoMisses(mi)
-		sp = opt.Trace.Start("topk.merge")
-		msp := opt.Span.Child("topk.merge")
-		res := heap.Results()
-		msp.End()
-		sp.End()
-		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	var sink topk.ResultSink = topk.NewConcurrent(q.Params.K)
-	if opt.Sink != nil {
-		sink = opt.Sink
-	}
-	run := &stealRun{
-		sch:   sched.New(len(work), workers, opt.Steal),
-		work:  work,
-		preps: make([]*prepState, len(work)),
-	}
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		callErr error
-	)
-	record := func(err error) {
-		errOnce.Do(func() { callErr = err })
-		run.sch.Abort()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := newSearcher(ctx, sctx, sink, q, opt)
-			for {
-				u, ok := run.sch.Acquire()
-				if !ok {
-					return
-				}
-				var err error
-				if u.Prep {
-					err = s.prepUnit(run, u.Sub, w, opt.Span)
-				} else {
-					err = s.chunkUnit(run, u, w, opt.Span)
-				}
-				if err != nil {
-					record(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if callErr != nil {
-		return nil, callErr
-	}
-	sp = opt.Trace.Start("topk.merge")
+	// The lazy memo counts in the Context; the shared one counted above.
+	h, mi := sctx.MemoCounters()
+	opt.Stats.AddSnapshot(stats.Snapshot{AttrSimMemoHits: h, AttrSimMemoMisses: mi})
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
 	msp.End()
-	sp.End()
 	return res, nil
 }
 
-func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, opt Options) *searcher {
-	return &searcher{
-		ctx:  ctx,
-		sctx: sctx,
-		heap: sink,
-		q:    q,
-		opt:  opt,
-		// With a shared (eagerly filled) memo the Context counts nothing;
-		// each worker tallies its own hits in the local batch instead.
-		countHits: sctx.MemoShared(),
-		st:        opt.Stats,
-		tr:        opt.Trace,
-		tuple:     make([]int32, sctx.M),
-		asims:     make([]float64, sctx.M),
-		dist:      make([]float64, 0, sctx.Pairs),
+// Prep buckets and samples one subspace — exactly once per subspace —
+// and returns the length of its root cell list. The prep span carries
+// the subspace-level work delta (candidate volume, sampling discards,
+// skip marks, memo hits); enumeration counters land on the chunk spans.
+func (s *searcher) Prep(p *prepState, sub int) (int, error) {
+	sp := s.opt.Span.Unit("lora.prep", s.lane, sub)
+	skip, err := s.prepareInto(p, s.work[sub])
+	if err != nil {
+		sp.End()
+		return 0, err
 	}
-}
-
-// localCounters batch per-subspace statistics so hot loops touch plain
-// ints, not atomics.
-type localCounters struct {
-	candidates, sampledOut, cellTuples, prunedCells, pops, tuples, offered, memoHits int64
-}
-
-func (s *searcher) flushStats() {
-	s.st.AddCandidates(s.local.candidates)
-	s.st.AddSampledOut(s.local.sampledOut)
-	s.st.AddCellTuples(s.local.cellTuples)
-	s.st.AddPrunedCellPrefixes(s.local.prunedCells)
-	s.st.AddRankPops(s.local.pops)
-	s.st.AddTuples(s.local.tuples)
-	s.st.AddOffered(s.local.offered)
-	s.st.AddAttrSimMemoHits(s.local.memoHits)
-	s.st.RaiseSubspaceCandidates(s.local.candidates)
-	s.local = localCounters{}
-}
-
-// localDelta converts the current counter batch into a plain work
-// snapshot — the delta attached to chunk spans, which carry enumeration
-// work but no subspace marks.
-func (s *searcher) localDelta() stats.Snapshot {
-	return stats.Snapshot{
-		Candidates:         s.local.candidates,
-		SampledOut:         s.local.sampledOut,
-		CellTuples:         s.local.cellTuples,
-		PrunedCellPrefixes: s.local.prunedCells,
-		RankPops:           s.local.pops,
-		Tuples:             s.local.tuples,
-		Offered:            s.local.offered,
-		AttrSimMemoHits:    s.local.memoHits,
+	s.unit.SubspaceCandidatesMax = s.unit.Candidates
+	if skip {
+		s.unit.SubspacesSkipped = 1
+		s.flush(sp)
+		return 0, nil
 	}
+	s.unit.Subspaces = 1
+	s.flush(sp)
+	return len(p.cellLists[0]), nil
 }
 
-// localSnapshot converts the current per-subspace counter batch into
-// the work delta attached to the subspace (or prep) span; searched
-// selects between the searched and skipped subspace count.
-func (s *searcher) localSnapshot(searched bool) stats.Snapshot {
-	snap := s.localDelta()
-	snap.SubspaceCandidatesMax = s.local.candidates
-	if searched {
-		snap.Subspaces = 1
-	} else {
-		snap.SubspacesSkipped = 1
-	}
-	return snap
+// Chunk enumerates the root cell range [lo, hi) of an already-prepared
+// subspace. The chunk span carries the enumeration work delta,
+// attributed to the owning subspace, so Tree.Skew keeps measuring
+// per-lane busy time and the straggler attribution keeps naming the
+// heaviest subspace.
+func (s *searcher) Chunk(p *prepState, sub, lo, hi int) error {
+	sp := s.opt.Span.Unit("lora.chunk", s.lane, sub)
+	s.attach(p)
+	err := s.cellDFS(0, 0, lo, hi)
+	s.flush(sp)
+	return err
+}
+
+// flush publishes the unit's counter batch to the query totals and to
+// its span, then starts a fresh batch.
+func (s *searcher) flush(sp span.Span) {
+	s.opt.Stats.AddSnapshot(s.unit)
+	sp.EndWork(s.unit)
+	s.unit = stats.Snapshot{}
 }
 
 // prepState is one subspace's prepared search state: the grid, the
 // sampled (dimension, cell) buckets and the sorted cell lists with
-// their Eq.-style suffix maxima. On the sequential path each searcher
-// owns one and reuses it across subspaces; on the stealing path prep
-// states are pooled, handed from the preparing worker to chunk workers
-// (read-only during enumeration — grid MinDist/MaxDist are pure), and
-// recycled when the subspace's last chunk finishes.
+// their Eq.-style suffix maxima. sched.Run pools prep states, hands
+// them from the preparing worker to chunk workers (read-only during
+// enumeration — grid MinDist/MaxDist are pure), and recycles them when
+// the subspace's last chunk finishes.
 type prepState struct {
 	g          *grid.Grid
 	buckets    [][][]simil.Cand // [dim][cell] sampled candidates, sorted desc
@@ -312,19 +237,16 @@ type searcher struct {
 	heap      topk.Sink
 	q         *query.Query
 	opt       Options
+	work      []*partition.Subspace
+	lane      int
 	countHits bool
-	st        *stats.Stats
-	tr        *obs.Trace
-	local     localCounters
-	steps     int
-	// pointDur accumulates time spent in pointEnum during the current
-	// cellDFS, so the cell- and point-level phases report disjointly.
-	pointDur time.Duration
+	// unit batches the current unit's counters so hot loops touch
+	// plain ints, not atomics.
+	unit  stats.Snapshot
+	steps int
 
-	// own is the sequential path's reusable prep state; g/buckets/
-	// cellLists/rbarSuffix are views of whichever prep state is attached
-	// for the current enumeration.
-	own        *prepState
+	// g/buckets/cellLists/rbarSuffix are views of the prep state
+	// attached for the current enumeration.
 	g          *grid.Grid
 	buckets    [][][]simil.Cand
 	cellLists  [][]scoredCell
@@ -393,115 +315,11 @@ func (s *searcher) checkCancel() error {
 	return nil
 }
 
-// stealRun is the shared state of one parallel stealing search: the
-// work-unit scheduler, the prepared-subspace handoff slots, and a small
-// recycling pool of prep states (bounded by the worker count, because
-// the scheduler drains queued chunks before starting new preps).
-// preps[i] is written by the preparing worker before Publish and read
-// by chunk workers after Acquire; the scheduler's lock orders the two.
-type stealRun struct {
-	sch   *sched.Scheduler
-	work  []*partition.Subspace
-	preps []*prepState
-
-	mu   sync.Mutex
-	pool []*prepState
-}
-
-func (r *stealRun) take() *prepState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.pool); n > 0 {
-		p := r.pool[n-1]
-		r.pool = r.pool[:n-1]
-		return p
-	}
-	return new(prepState)
-}
-
-func (r *stealRun) put(p *prepState) {
-	r.mu.Lock()
-	r.pool = append(r.pool, p)
-	r.mu.Unlock()
-}
-
-// prepUnit buckets and samples one subspace — exactly once per
-// subspace — and publishes its root cell list to the scheduler as
-// steal-able chunks. The prep span carries the subspace-level work
-// delta (candidate volume, sampling discards, skip marks, memo hits);
-// enumeration counters land on the chunk spans.
-func (s *searcher) prepUnit(run *stealRun, sub, w int, parent span.Span) error {
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	p := run.take()
-	sp := parent.Unit("lora.prep", w, sub)
-	skip, err := s.prepareInto(p, run.work[sub])
-	if err != nil {
-		sp.End()
-		run.sch.Publish(sub, 0)
-		run.put(p)
-		return err
-	}
-	if s.tr != nil {
-		s.tr.Add("lora.sample", time.Since(t0))
-	}
-	if skip {
-		s.st.AddSubspacesSkipped(1)
-		sp.EndWork(s.localSnapshot(false))
-		s.flushStats()
-		run.sch.Publish(sub, 0)
-		run.put(p)
-		return nil
-	}
-	s.st.AddSubspaces(1)
-	sp.EndWork(s.localSnapshot(true))
-	s.flushStats()
-	run.preps[sub] = p
-	if run.sch.Publish(sub, len(p.cellLists[0])) == 0 {
-		// Aborted before any chunk was queued: no Done will follow, so
-		// reclaim the prepared state here.
-		run.preps[sub] = nil
-		run.put(p)
-	}
-	return nil
-}
-
-// chunkUnit enumerates one stolen chunk: the root cell range [u.Lo,
-// u.Hi) of an already-prepared subspace. The chunk span carries the
-// enumeration work delta, attributed to the owning subspace, so
-// Tree.Skew keeps measuring per-lane busy time and the straggler
-// attribution keeps naming the heaviest subspace.
-func (s *searcher) chunkUnit(run *stealRun, u sched.Unit, w int, parent span.Span) error {
-	p := run.preps[u.Sub]
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	sp := parent.Unit("lora.chunk", w, u.Sub)
-	s.attach(p)
-	s.pointDur = 0
-	err := s.cellDFS(0, 0, u.Lo, u.Hi)
-	if s.tr != nil {
-		s.tr.Add("lora.points", s.pointDur)
-		s.tr.Add("lora.cells", time.Since(t0)-s.pointDur)
-	}
-	sp.EndWork(s.localDelta())
-	s.flushStats()
-	if run.sch.Done(u.Sub) {
-		run.preps[u.Sub] = nil
-		run.put(p)
-	}
-	return err
-}
-
 // prepareInto buckets candidates per (dimension, cell), Point-Samples
 // each bucket, and builds the sorted cell lists and suffix maxima into
 // p. It reports skip=true when a pinned object falls outside the
 // subspace or some dimension has no candidate cell. Candidate and
-// sampling counters accumulate into s.local; the caller attaches and
-// flushes them.
+// sampling counters accumulate into the unit batch.
 func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool, err error) {
 	c := s.sctx
 	m := c.M
@@ -538,7 +356,7 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 			}
 			cell := g.Cell(loc)
 			if s.countHits {
-				s.local.memoHits++
+				s.unit.AttrSimMemoHits++
 			}
 			p.buckets[d][cell] = append(p.buckets[d][cell], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
@@ -559,9 +377,9 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 			}
 		}
 		s.posBuf = pos
-		s.local.candidates += int64(len(pos))
+		s.unit.Candidates += int64(len(pos))
 		if s.countHits {
-			s.local.memoHits += int64(len(pos))
+			s.unit.AttrSimMemoHits += int64(len(pos))
 		}
 		if cap(s.simBuf) < len(pos) {
 			s.simBuf = make([]float64, len(pos))
@@ -579,7 +397,7 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 			}
 			before := len(b)
 			p.buckets[d][cell] = s.sampleBucket(b, d, cell)
-			s.local.sampledOut += int64(before - len(p.buckets[d][cell]))
+			s.unit.SampledOut += int64(before - len(p.buckets[d][cell]))
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
 		}
 		if len(p.cellLists[d]) == 0 {
@@ -594,53 +412,6 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 		p.rbarSuffix[d] = p.rbarSuffix[d+1] + p.cellLists[d][0].score
 	}
 	return false, nil
-}
-
-// searchSubspace buckets, samples, and enumerates one subspace — the
-// sequential path, where prep and enumeration stay on one goroutine.
-// The sub span (a no-op when span tracing is off) is closed on every
-// return path, carrying this subspace's work-counter delta.
-func (s *searcher) searchSubspace(ss *partition.Subspace, sub span.Span) error {
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	smp := sub.Child("lora.sample")
-	if s.own == nil {
-		s.own = new(prepState)
-	}
-	skip, err := s.prepareInto(s.own, ss)
-	if err != nil {
-		smp.End()
-		sub.End()
-		return err
-	}
-	if s.tr != nil {
-		s.tr.Add("lora.sample", time.Since(t0))
-		t0 = time.Now()
-	}
-	smp.End()
-	if skip {
-		s.st.AddSubspacesSkipped(1)
-		sub.EndWork(s.localSnapshot(false))
-		s.flushStats()
-		return nil
-	}
-	s.attach(s.own)
-	s.st.AddSubspaces(1)
-	s.pointDur = 0
-	esp := sub.Child("lora.enum")
-	err = s.cellDFS(0, 0, 0, len(s.cellLists[0]))
-	esp.End()
-	if s.tr != nil {
-		// pointEnum time is carved out of the enumeration window so the
-		// cell- and point-level phases stay disjoint.
-		s.tr.Add("lora.points", s.pointDur)
-		s.tr.Add("lora.cells", time.Since(t0)-s.pointDur)
-	}
-	sub.EndWork(s.localSnapshot(true))
-	s.flushStats()
-	return err
 }
 
 // sampleBucket applies Point-Sample (Algorithm 6): sort descending by
@@ -681,7 +452,7 @@ func (s *searcher) cellDFS(dim int, scoreSum float64, lo, hi int) error {
 		// level; a failing bound prunes the cell's subtree.
 		vbar := (sum + s.rbarSuffix[dim+1]) / float64(c.M)
 		if !s.heap.WouldAccept(c.Combine(1, vbar)) {
-			s.local.prunedCells++
+			s.unit.PrunedCellPrefixes++
 			if s.opt.SortedBreak {
 				// extension: monotone along the score-sorted cell list
 				break
@@ -759,14 +530,9 @@ func (s *searcher) cellPrefixFeasible(dim int) bool {
 //
 //seq:hotpath
 func (s *searcher) pointEnum() error {
-	if s.tr != nil {
-		t0 := time.Now()
-		//lint:ignore hotpathalloc tracing-only branch, gated on s.tr != nil; production searches never reach it
-		defer func() { s.pointDur += time.Since(t0) }()
-	}
 	c := s.sctx
 	m := c.M
-	s.local.cellTuples++
+	s.unit.CellTuples++
 	if s.listsBuf == nil {
 		//lint:ignore hotpathalloc grow-once per-searcher buffer; reused across every cell tuple
 		s.listsBuf = make([][]simil.Cand, m)
@@ -819,7 +585,7 @@ func (s *searcher) pointEnum() error {
 		if !ok {
 			return nil
 		}
-		s.local.pops++
+		s.unit.RankPops++
 		attrMean := total / float64(m)
 		// Future pops have lower attribute totals; once even a perfect
 		// spatial similarity cannot beat the k-th result, stop.
@@ -857,13 +623,13 @@ func (s *searcher) assembleTuple(lists [][]simil.Cand, ranks []int32) bool {
 			}
 		}
 	}
-	s.local.tuples++
+	s.unit.Tuples++
 	s.dist = c.DistVectorOfPositions(s.tuple, s.dist)
 	if !c.NormOK(geo.Norm(s.dist)) {
 		return false
 	}
 	if s.heap.Offer(s.tuple, c.TupleSim(s.dist, s.asims)) {
-		s.local.offered++
+		s.unit.Offered++
 	}
 	return true
 }

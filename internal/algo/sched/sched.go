@@ -1,16 +1,19 @@
-// Package sched implements the shared work-unit scheduler behind the
-// intra-subspace work stealing of the parallel HSP and LORA paths.
+// Package sched implements the shared work-unit scheduler and search
+// driver behind the per-subspace search of HSP and LORA.
 //
-// The pre-stealing parallel loops pulled whole subspaces off an atomic
-// counter, which made a Zipf head subspace indivisible: one worker lane
-// dragged ~66% of the candidate work while the others idled (the
-// EXPERIMENTS.md S1 baseline). Here the unit of work is smaller than the
-// subspace: a *(subspace, dim-0 candidate range)* chunk. Workers acquire
-// units in a loop — first a prep unit per subspace (candidate
-// enumeration, run exactly once per subspace so the Lemma-1 discipline
-// holds), then enumeration chunks of the prepared subspace's root-level
-// candidates, sized by candidate count so a fat subspace's DFS root
-// level is shared across every idle worker.
+// The unit of work is smaller than the subspace: a *(subspace, dim-0
+// candidate range)* chunk. Workers acquire units in a loop — first a
+// prep unit per subspace (candidate enumeration, run exactly once per
+// subspace so the Lemma-1 discipline holds), then enumeration chunks of
+// the prepared subspace's root-level candidates, sized by candidate
+// count so a fat subspace's DFS root level is shared across every idle
+// worker. Whole-subspace units made a Zipf head subspace indivisible:
+// one worker lane dragged ~66% of the candidate work while the others
+// idled (the EXPERIMENTS.md S1 baseline).
+//
+// Run is the one driver both algorithms use, for every worker count: a
+// single worker runs on the caller's goroutine, one chunk per subspace,
+// in subspace order — the sequential search.
 //
 // Exactness is unaffected by steal order: the concurrent top-k's
 // deterministic tie-break is order-independent, and a stale pruning
@@ -23,14 +26,10 @@ package sched
 
 import "sync"
 
-// Default auto-chunking knobs: split each subspace into about
-// Oversubscribe chunks per worker (enough granularity for the tail to
-// steal, few enough that per-chunk overhead stays invisible), but never
-// below MinChunk candidates per chunk.
-const (
-	defaultOversubscribe = 4
-	defaultMinChunk      = 1
-)
+// oversubscribe is the auto-sized chunk count per worker per subspace:
+// enough granularity for the tail to steal, few enough that per-chunk
+// overhead stays invisible.
+const oversubscribe = 4
 
 // Tuning controls how a prepared subspace's root candidate range is
 // split into steal-able chunks. The zero value auto-sizes.
@@ -38,15 +37,8 @@ type Tuning struct {
 	// ChunkSize fixes the chunk length in dim-0 candidates: > 0 uses
 	// exactly that size (1 is the adversarial minimum — every root
 	// candidate its own unit), < 0 disables splitting (one chunk per
-	// subspace, the pre-stealing behavior), 0 auto-sizes from the
-	// worker count.
+	// subspace), 0 auto-sizes from the worker count.
 	ChunkSize int
-	// MinChunk floors the auto size so tiny subspaces are not shredded
-	// into per-candidate units; <= 0 takes the caller's default.
-	MinChunk int
-	// Oversubscribe is the target number of auto-sized chunks per
-	// worker per subspace; <= 0 takes the default (4).
-	Oversubscribe int
 }
 
 // Unit is one acquired work item. Prep units ask the worker to prepare
@@ -62,26 +54,29 @@ type Unit struct {
 // Scheduler hands out prep and enumeration units to parallel workers.
 // One Scheduler covers one query execution.
 type Scheduler struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	tun     Tuning
-	workers int
-	numSub  int
-	nextSub int // next subspace needing prep
-	prep    int // prep units handed out but not yet Published
-	queue   []Unit
-	qhead   int
-	pending []int // unacquired+unfinished chunks per subspace
-	aborted bool
+	mu       sync.Mutex
+	cond     sync.Cond
+	tun      Tuning
+	workers  int
+	minChunk int
+	numSub   int
+	nextSub  int // next subspace needing prep
+	prep     int // prep units handed out but not yet Published
+	queue    []Unit
+	qhead    int
+	pending  []int // unacquired+unfinished chunks per subspace
+	aborted  bool
 }
 
 // New returns a scheduler over numSub subspaces for the given worker
-// count (used by auto chunk sizing; must be >= 1).
-func New(numSub, workers int, tun Tuning) *Scheduler {
+// count (used by auto chunk sizing; must be >= 1). minChunk floors the
+// auto-sized chunks so tiny subspaces are not shredded into
+// per-candidate units.
+func New(numSub, workers, minChunk int, tun Tuning) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Scheduler{tun: tun, workers: workers, numSub: numSub, pending: make([]int, numSub)}
+	s := &Scheduler{tun: tun, workers: workers, minChunk: minChunk, numSub: numSub, pending: make([]int, numSub)}
 	s.cond.L = &s.mu
 	return s
 }
@@ -183,23 +178,133 @@ func (s *Scheduler) chunkFor(n int) int {
 	if c > 0 {
 		return c
 	}
-	if c < 0 {
+	if c < 0 || s.workers == 1 {
+		// A lone worker has nobody to share the subspace with.
 		return n
 	}
-	over := s.tun.Oversubscribe
-	if over <= 0 {
-		over = defaultOversubscribe
-	}
-	c = (n + over*s.workers - 1) / (over * s.workers)
-	min := s.tun.MinChunk
-	if min <= 0 {
-		min = defaultMinChunk
-	}
-	if c < min {
-		c = min
+	c = (n + oversubscribe*s.workers - 1) / (oversubscribe * s.workers)
+	if c < s.minChunk {
+		c = s.minChunk
 	}
 	if c > n {
 		c = n
 	}
 	return c
+}
+
+// Worker is one goroutine's side of a search: the two callbacks an
+// algorithm hands Run. P is the algorithm's prepared per-subspace state;
+// Run pools and recycles it, so Prep must fully overwrite whatever a
+// previous subspace left in p.
+type Worker[P any] interface {
+	// Prep prepares subspace sub into p and returns its root (dim-0)
+	// candidate count; 0 skips the subspace.
+	Prep(p *P, sub int) (roots int, err error)
+	// Chunk enumerates the roots [lo, hi) of subspace sub, prepared in
+	// p. p is shared read-only with the other chunks of sub.
+	Chunk(p *P, sub, lo, hi int) error
+}
+
+// Run searches numSub subspaces on the given number of workers and
+// returns the first error any callback reported (which aborts the
+// rest). newWorker builds lane w's callbacks; lane 0 runs on the
+// caller's goroutine, so workers <= 1 starts no goroutine at all and,
+// with one chunk per subspace, preps and enumerates the subspaces
+// strictly in order.
+func Run[P any](numSub, workers, minChunk int, tun Tuning, newWorker func(w int) Worker[P]) error {
+	r := &run[P]{sch: New(numSub, workers, minChunk, tun), preps: make([]*P, numSub)}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r.loop(newWorker(w))
+		}(w)
+	}
+	r.loop(newWorker(0))
+	wg.Wait()
+	return r.err
+}
+
+// run is the shared state of one search: the scheduler, the
+// prepared-subspace handoff slots, and a small recycling pool of prep
+// states (bounded by the worker count, because the scheduler drains
+// queued chunks before starting new preps). preps[i] is written by the
+// preparing worker before Publish and read by chunk workers after
+// Acquire; the scheduler's lock orders the two.
+type run[P any] struct {
+	sch   *Scheduler
+	preps []*P
+
+	mu   sync.Mutex
+	pool []*P
+
+	errOnce sync.Once
+	err     error
+}
+
+// loop is one worker lane: acquire units until the search drains.
+func (r *run[P]) loop(wk Worker[P]) {
+	for {
+		u, ok := r.sch.Acquire()
+		if !ok {
+			return
+		}
+		var err error
+		if u.Prep {
+			err = r.prep(wk, u.Sub)
+		} else {
+			err = r.chunk(wk, u)
+		}
+		if err != nil {
+			r.errOnce.Do(func() { r.err = err })
+			r.sch.Abort()
+			return
+		}
+	}
+}
+
+func (r *run[P]) prep(wk Worker[P], sub int) error {
+	p := r.take()
+	n, err := wk.Prep(p, sub)
+	if err != nil || n <= 0 {
+		r.sch.Publish(sub, 0)
+		r.put(p)
+		return err
+	}
+	r.preps[sub] = p
+	if r.sch.Publish(sub, n) == 0 {
+		// Aborted before any chunk was queued: no Done will follow, so
+		// reclaim the prepared state here.
+		r.preps[sub] = nil
+		r.put(p)
+	}
+	return nil
+}
+
+func (r *run[P]) chunk(wk Worker[P], u Unit) error {
+	p := r.preps[u.Sub]
+	err := wk.Chunk(p, u.Sub, u.Lo, u.Hi)
+	if r.sch.Done(u.Sub) {
+		r.preps[u.Sub] = nil
+		r.put(p)
+	}
+	return err
+}
+
+func (r *run[P]) take() *P {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.pool); n > 0 {
+		p := r.pool[n-1]
+		r.pool = r.pool[:n-1]
+		return p
+	}
+	return new(P)
+}
+
+func (r *run[P]) put(p *P) {
+	r.mu.Lock()
+	r.pool = append(r.pool, p)
+	r.mu.Unlock()
 }

@@ -48,7 +48,7 @@ func coverage(t *testing.T, chunks []Unit, n int) {
 }
 
 func TestFixedChunking(t *testing.T) {
-	s := New(1, 4, Tuning{ChunkSize: 10})
+	s := New(1, 4, 1, Tuning{ChunkSize: 10})
 	chunks := drain(t, s, []int{25})
 	if len(chunks[0]) != 3 {
 		t.Fatalf("got %d chunks, want 3", len(chunks[0]))
@@ -63,7 +63,7 @@ func TestFixedChunking(t *testing.T) {
 }
 
 func TestWholeSubspaceChunking(t *testing.T) {
-	s := New(2, 4, Tuning{ChunkSize: -1})
+	s := New(2, 4, 1, Tuning{ChunkSize: -1})
 	chunks := drain(t, s, []int{100, 7})
 	for sub, n := range []int{100, 7} {
 		if len(chunks[sub]) != 1 {
@@ -76,24 +76,24 @@ func TestWholeSubspaceChunking(t *testing.T) {
 func TestAutoChunking(t *testing.T) {
 	// 4 workers x oversubscribe 4 = 16 target chunks; 1000 candidates
 	// gives ceil(1000/16) = 63 per chunk, 16 chunks.
-	s := New(1, 4, Tuning{})
+	s := New(1, 4, 1, Tuning{})
 	chunks := drain(t, s, []int{1000})
 	if len(chunks[0]) != 16 {
 		t.Errorf("got %d auto chunks, want 16", len(chunks[0]))
 	}
 	coverage(t, chunks[0], 1000)
 
-	// MinChunk floors the auto size: 20 candidates over 16 targets would
-	// be 2-wide, but MinChunk 8 forces ceil(20/8) = 3 chunks.
-	s = New(1, 4, Tuning{MinChunk: 8})
+	// minChunk floors the auto size: 20 candidates over 16 targets would
+	// be 2-wide, but minChunk 8 forces ceil(20/8) = 3 chunks.
+	s = New(1, 4, 8, Tuning{})
 	chunks = drain(t, s, []int{20})
 	if len(chunks[0]) != 3 {
 		t.Errorf("got %d floored chunks, want 3", len(chunks[0]))
 	}
 	coverage(t, chunks[0], 20)
 
-	// A subspace smaller than MinChunk is one chunk.
-	s = New(1, 4, Tuning{MinChunk: 64})
+	// A subspace smaller than minChunk is one chunk.
+	s = New(1, 4, 64, Tuning{})
 	chunks = drain(t, s, []int{5})
 	if len(chunks[0]) != 1 {
 		t.Errorf("got %d chunks for a tiny subspace, want 1", len(chunks[0]))
@@ -102,7 +102,7 @@ func TestAutoChunking(t *testing.T) {
 }
 
 func TestSkippedSubspace(t *testing.T) {
-	s := New(3, 2, Tuning{ChunkSize: 4})
+	s := New(3, 2, 1, Tuning{ChunkSize: 4})
 	chunks := drain(t, s, []int{6, 0, 3})
 	if len(chunks[1]) != 0 {
 		t.Errorf("skipped subspace produced %d chunks", len(chunks[1]))
@@ -112,7 +112,7 @@ func TestSkippedSubspace(t *testing.T) {
 }
 
 func TestAbortUnblocksWaiters(t *testing.T) {
-	s := New(1, 2, Tuning{})
+	s := New(1, 2, 1, Tuning{})
 	u, ok := s.Acquire()
 	if !ok || !u.Prep {
 		t.Fatalf("first acquire = %+v, %v; want a prep unit", u, ok)
@@ -166,7 +166,7 @@ func TestStress(t *testing.T) {
 			covered[i] = make([]bool, n)
 		}
 
-		s := New(numSub, workers, tun)
+		s := New(numSub, workers, 1, tun)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -233,7 +233,7 @@ func TestStressAbort(t *testing.T) {
 	for i := range sizes {
 		sizes[i] = 50 + i
 	}
-	s := New(numSub, workers, Tuning{ChunkSize: 5})
+	s := New(numSub, workers, 1, Tuning{ChunkSize: 5})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

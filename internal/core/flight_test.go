@@ -9,6 +9,7 @@ import (
 	"spatialseq/internal/geo"
 	"spatialseq/internal/obs"
 	"spatialseq/internal/obs/flight"
+	"spatialseq/internal/obs/span"
 	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 )
@@ -24,7 +25,7 @@ func TestSearchEmitsFlightRecord(t *testing.T) {
 	rec := retainAll()
 	eng.SetFlightRecorder(rec)
 	ctx := obs.WithRequestID(context.Background(), "test-req-1")
-	res, err := eng.Search(ctx, q, HSP, Options{CollectStats: true, Trace: obs.NewTrace()})
+	res, err := eng.Search(ctx, q, HSP, Options{CollectStats: true, Spans: span.NewTracer()})
 	if err != nil {
 		t.Fatal(err)
 	}

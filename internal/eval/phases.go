@@ -8,16 +8,17 @@ import (
 
 	"spatialseq/internal/core"
 	"spatialseq/internal/obs"
+	"spatialseq/internal/obs/span"
 	"spatialseq/internal/query"
 	"spatialseq/internal/stats"
 	"spatialseq/internal/workload"
 )
 
-// PhaseBreakdown runs the workload under each algorithm with phase
-// tracing enabled and prints where the wall time goes — the same trace
-// the server returns per request with include_stats, aggregated over a
-// whole query set. It answers "which phase do I optimise next" the way
-// Table II answers "which algorithm wins".
+// PhaseBreakdown runs the workload under each algorithm with span
+// tracing enabled and prints where the wall time goes — the same phase
+// timings the server returns per request with include_stats, summed by
+// phase name over a whole query set. It answers "which phase do I
+// optimise next" the way Table II answers "which algorithm wins".
 func PhaseBreakdown(ctx context.Context, w io.Writer, f Family, n int, cfg Config) error {
 	data, err := familyDataset(f, n, cfg.Seed)
 	if err != nil {
@@ -33,8 +34,7 @@ func PhaseBreakdown(ctx context.Context, w io.Writer, f Family, n int, cfg Confi
 	rp.printf(w, "Phase breakdown (%s-like, %d POIs, up to %d queries per algorithm)\n", f, n, len(queries))
 	rp.println(tw, "algo\tphase\ttotal\tcalls\tshare")
 	for _, algo := range []core.Algorithm{core.DFSPrune, core.HSP, core.LORA} {
-		tr := obs.NewTrace()
-		ran, work, err := runTraced(ctx, eng, queries, algo, tr, cfg.Budget)
+		ran, phases, work, err := runTraced(ctx, eng, queries, algo, cfg.Budget)
 		if err != nil {
 			return err
 		}
@@ -42,12 +42,11 @@ func PhaseBreakdown(ctx context.Context, w io.Writer, f Family, n int, cfg Confi
 			rp.printf(tw, "%s\t(no query finished within %s)\t\t\t\n", algo, cfg.Budget)
 			continue
 		}
-		snap := tr.Snapshot()
 		var total float64
-		for _, p := range snap {
+		for _, p := range phases {
 			total += p.DurationMS
 		}
-		for _, p := range snap {
+		for _, p := range phases {
 			var share float64
 			if total > 0 {
 				share = 100 * p.DurationMS / total
@@ -64,29 +63,49 @@ func PhaseBreakdown(ctx context.Context, w io.Writer, f Family, n int, cfg Confi
 	return rp.flush(tw)
 }
 
-// runTraced runs queries under algo until the budget expires, recording
-// phases into tr. It returns how many queries completed and the summed
+// runTraced runs queries under algo until the budget expires, each with
+// its own span tracer. It returns how many queries completed, their
+// phase timings summed by name in first-recorded order, and the summed
 // work counters.
-func runTraced(ctx context.Context, eng *core.Engine, queries []*query.Query, algo core.Algorithm, tr *obs.Trace, budget time.Duration) (int, stats.Snapshot, error) {
+func runTraced(ctx context.Context, eng *core.Engine, queries []*query.Query, algo core.Algorithm, budget time.Duration) (int, []obs.PhaseTiming, stats.Snapshot, error) {
 	deadline := time.Now().Add(budget)
 	ran := 0
-	var work stats.Snapshot
+	var (
+		phases []obs.PhaseTiming
+		work   stats.Snapshot
+	)
+	index := make(map[string]int)
 	for _, q := range queries {
 		if time.Now().After(deadline) {
 			break
 		}
 		qctx, cancel := context.WithDeadline(ctx, deadline)
 		qq := *q
-		res, err := eng.Search(qctx, &qq, algo, core.Options{Trace: tr, CollectStats: true})
+		// Every subspace records a prep and a chunk span, far beyond the
+		// default 512-node arena on large queries; a dropped span would
+		// drop its time from the breakdown.
+		tr := span.NewTracerLimits(1<<20, 0)
+		res, err := eng.Search(qctx, &qq, algo, core.Options{Spans: tr, CollectStats: true})
 		cancel()
 		if err != nil {
 			if qctx.Err() != nil && ctx.Err() == nil {
 				break // budget exhausted mid-query; keep what we have
 			}
-			return ran, work, err
+			return ran, phases, work, err
+		}
+		for _, p := range tr.PhaseTimings() {
+			i, ok := index[p.Name]
+			if !ok {
+				index[p.Name] = len(phases)
+				phases = append(phases, p)
+				continue
+			}
+			phases[i].DurationMS += p.DurationMS
+			phases[i].Count += p.Count
+			phases[i].Parallel = phases[i].Parallel || p.Parallel
 		}
 		work = work.Add(res.Stats)
 		ran++
 	}
-	return ran, work, nil
+	return ran, phases, work, nil
 }

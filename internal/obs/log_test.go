@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -58,5 +59,19 @@ func TestResponseRecorder(t *testing.T) {
 	rec2.WriteHeader(500) // too late; body already started
 	if rec2.Status != 200 {
 		t.Errorf("implicit status = %d, want 200", rec2.Status)
+	}
+}
+
+func TestRequestIDs(t *testing.T) {
+	seen := make(map[string]bool)
+	for i := 0; i < 100; i++ {
+		id := NewRequestID()
+		if len(id) != 16 || strings.ToLower(id) != id {
+			t.Fatalf("malformed request id %q", id)
+		}
+		if seen[id] {
+			t.Fatalf("duplicate request id %q", id)
+		}
+		seen[id] = true
 	}
 }

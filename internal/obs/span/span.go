@@ -1,9 +1,9 @@
 // Package span implements hierarchical span tracing for one query
-// execution: a bounded tree of named time intervals, where each parallel
-// subspace worker records its own timeline instead of folding into the
-// flat per-phase sums of obs.Trace. A span may carry a stats.Snapshot
-// work delta, so a retained trace explains both *where* the time went
-// and *what* was done there.
+// execution: a bounded tree of named time intervals, where each subspace
+// worker records its own timeline. It is the one tracing mechanism: the
+// flat per-phase aggregate (Tracer.PhaseTimings) is derived from the
+// tree. A span may carry a stats.Snapshot work delta, so a retained
+// trace explains both *where* the time went and *what* was done there.
 //
 // The package sits in the observability leaf band next to
 // internal/obs/flight: it may import only internal/obs (phase-timing
@@ -14,7 +14,7 @@
 // Emission is allocation-free apart from the bounded arena append: a
 // nil *Tracer (tracing off) and the zero Span are safe no-ops on every
 // method, so the algorithms thread spans through unconditionally — the
-// same discipline as *stats.Stats and *obs.Trace.
+// same discipline as *stats.Stats.
 package span
 
 import (
@@ -24,8 +24,8 @@ import (
 	"spatialseq/internal/stats"
 )
 
-// Tree-size bounds, mirroring obs.Trace's maxPhases discipline: a buggy
-// caller cannot grow a request's span tree without limit. Spans beyond
+// Tree-size bounds: a buggy caller cannot grow a request's span tree
+// without limit. Spans beyond
 // either bound are dropped (counted, with their whole subtree).
 const (
 	DefaultMaxNodes = 512
@@ -119,9 +119,10 @@ func (s Span) Child(name string) Span {
 	return s.open(name, s.worker, noID)
 }
 
-// Worker opens a sub-span tagged with a worker lane: one goroutine's
-// timeline in a parallel subspace search. Descendant spans inherit the
-// lane, so every interval lands on the right track of the export.
+// Worker opens a sub-span tagged with a worker lane: one long-lived
+// worker's timeline (the DFS-Prune baseline's single lane). Descendant
+// spans inherit the lane, so every interval lands on the right track of
+// the export.
 //
 //seq:hotpath
 func (s Span) Worker(name string, w int) Span {
@@ -137,11 +138,11 @@ func (s Span) Subspace(name string, idx int) Span {
 
 // Unit opens a sub-span tagged with both a worker lane and a subspace
 // index: one stolen work unit (a subspace prep, or a chunk of a
-// subspace's root candidates) executed by worker w. The stealing paths
-// emit these directly under the algorithm root — there is no long-lived
-// per-goroutine container span, because a worker parked on the
-// scheduler is idle and must not count as busy in Tree.Skew's
-// imbalance accounting.
+// subspace's root candidates) executed by worker w. HSP and LORA emit
+// these directly under the algorithm root, for any worker count —
+// there is no long-lived per-goroutine container span, because a worker
+// parked on the scheduler is idle and must not count as busy in
+// Tree.Skew's imbalance accounting.
 //
 //seq:hotpath
 func (s Span) Unit(name string, w, idx int) Span {
@@ -226,9 +227,8 @@ func (s Span) EndWork(delta stats.Snapshot) {
 	s.t.mu.Unlock()
 }
 
-// Dropped reports how many spans the tree bounds discarded — the span
-// counterpart of obs.Trace.Dropped, feeding the same truncation metric
-// discipline (spatialseq_spans_dropped_total).
+// Dropped reports how many spans the tree bounds discarded, feeding the
+// truncation metric spatialseq_spans_dropped_total.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0

@@ -201,8 +201,8 @@ func TestEndKeepsFirst(t *testing.T) {
 	}
 }
 
-// TestPhaseTimingsParallelMarker is the satellite fix for the obs.Trace
-// caveat: overlapping same-named leaves get Parallel=true, disjoint ones
+// TestPhaseTimingsParallelMarker: overlapping same-named leaves get
+// Parallel=true (their summed time can exceed wall time), disjoint ones
 // stay unmarked, and container spans do not become phases.
 func TestPhaseTimingsParallelMarker(t *testing.T) {
 	tr := NewTracer()

@@ -77,11 +77,10 @@ func (t *Tracer) Snapshot() *Tree {
 
 // PhaseTimings derives the flat per-phase aggregate from the span tree:
 // leaf spans grouped by name in first-recorded order, durations summed.
-// This keeps the include_stats phase surface stable while fixing the
-// documented obs.Trace caveat — when same-named leaves overlap in time
-// (parallel workers), the phase is marked Parallel instead of letting
-// the sum silently exceed the query's wall time. Returns nil when no
-// spans were recorded, so callers can fall back to a flat obs.Trace.
+// It is the include_stats phase surface: when same-named leaves overlap
+// in time (parallel workers), the phase is marked Parallel instead of
+// letting the sum silently exceed the query's wall time. Returns nil
+// when no spans were recorded.
 func (t *Tracer) PhaseTimings() []obs.PhaseTiming {
 	if t == nil {
 		return nil

@@ -208,7 +208,6 @@ func TestFlightAndProcessMetricsExposed(t *testing.T) {
 		"spatialseq_build_info{revision=",
 		"spatialseq_uptime_seconds ",
 		"spatialseq_goroutines ",
-		"spatialseq_trace_phases_dropped_total 0",
 		"spatialseq_slow_query_threshold_seconds ",
 		"spatialseq_query_latency_p99_seconds ",
 		"spatialseq_flight_observed 1",

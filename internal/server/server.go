@@ -106,14 +106,13 @@ type Server struct {
 	reg     *obs.Registry
 	flight  *flight.Recorder
 
-	inflight      obs.Gauge
-	requests      *obs.CounterVec
-	latency       *obs.HistogramVec
-	work          *obs.CounterVec
-	phasesDropped obs.Counter
-	spansDropped  obs.Counter
-	imbalance     *obs.HistogramVec
-	critPath      *obs.HistogramVec
+	inflight     obs.Gauge
+	requests     *obs.CounterVec
+	latency      *obs.HistogramVec
+	work         *obs.CounterVec
+	spansDropped obs.Counter
+	imbalance    *obs.HistogramVec
+	critPath     *obs.HistogramVec
 
 	// idOnce guards the lazy one-time build of idIndex, the dataset's
 	// id -> position map used to resolve CSEQ-FP fixed_id references.
@@ -175,8 +174,6 @@ func NewWith(eng *core.Engine, cfg Config) *Server {
 		"Engine search latency (cache hits excluded).", nil, "algorithm")
 	s.work = cfg.Metrics.Counter("spatialseq_search_work_total",
 		"Cumulative engine work counters, by stats.Snapshot field.", "counter")
-	s.phasesDropped = cfg.Metrics.Counter("spatialseq_trace_phases_dropped_total",
-		"Phase-trace additions discarded by the per-query phase bound (obs.Trace overflow).").With()
 	s.spansDropped = cfg.Metrics.Counter("spatialseq_spans_dropped_total",
 		"Spans discarded by the per-query span-tree bounds (node count or depth).").With()
 	s.imbalance = cfg.Metrics.Histogram("spatialseq_subspace_imbalance_ratio",
@@ -447,11 +444,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.Timeout)
 	defer cancel()
-	// A trace and a span tracer are always attached so flight-recorder
-	// records carry the phase breakdown and slow queries retain their
-	// span tree; on cache hits the engine never runs and both stay
-	// empty.
-	opt := core.Options{CollectStats: true, Trace: obs.NewTrace(), Spans: span.NewTracer()}
+	// A span tracer is always attached so flight-recorder records carry
+	// the phase breakdown and slow queries retain their span tree; on
+	// cache hits the engine never runs and it stays empty.
+	opt := core.Options{CollectStats: true, Spans: span.NewTracer()}
 	var (
 		res    *core.Result
 		cached bool
@@ -464,7 +460,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		res, cached, err = s.cache.Search(ctx, s.searcher, q, algo, opt)
 	}
-	s.phasesDropped.Add(float64(opt.Trace.Dropped()))
 	s.spansDropped.Add(float64(opt.Spans.Dropped()))
 	if err != nil {
 		status := http.StatusBadRequest
@@ -516,14 +511,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := s.buildResponse(q, res)
 	if req.IncludeStats {
-		phases := opt.Trace.Snapshot()
-		// Span-derived timings supersede the flat trace: same phase
-		// names, with cross-worker overlap marked parallel instead of
-		// silently summed past wall time.
-		if p := opt.Spans.PhaseTimings(); p != nil {
-			phases = p
-		}
-		resp.Stats = &SearchStats{Work: res.Stats, Phases: phases, Skew: opt.Spans.Skew()}
+		resp.Stats = &SearchStats{Work: res.Stats, Phases: opt.Spans.PhaseTimings(), Skew: opt.Spans.Skew()}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

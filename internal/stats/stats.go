@@ -50,104 +50,42 @@ type Stats struct {
 	SubspaceCandidatesMax atomic.Int64
 }
 
-// nil-safe increment helpers; algorithms call these unconditionally.
-
-// AddSubspaces increments the searched-subspace counter.
-func (s *Stats) AddSubspaces(n int64) {
-	if s != nil {
-		s.Subspaces.Add(n)
-	}
-}
-
-// AddSubspacesSkipped increments the skipped-subspace counter.
-func (s *Stats) AddSubspacesSkipped(n int64) {
-	if s != nil {
-		s.SubspacesSkipped.Add(n)
-	}
-}
-
-// AddCandidates increments the candidate-point counter.
-func (s *Stats) AddCandidates(n int64) {
-	if s != nil {
-		s.Candidates.Add(n)
-	}
-}
-
-// AddPrunedPrefixes increments the pruned-prefix counter.
-func (s *Stats) AddPrunedPrefixes(n int64) {
-	if s != nil {
-		s.PrunedPrefixes.Add(n)
-	}
-}
-
-// AddTuples increments the scored-tuple counter.
-func (s *Stats) AddTuples(n int64) {
-	if s != nil {
-		s.Tuples.Add(n)
-	}
-}
-
-// AddOffered increments the offered-tuple counter.
-func (s *Stats) AddOffered(n int64) {
-	if s != nil {
-		s.Offered.Add(n)
-	}
-}
-
-// AddCellTuples increments the examined-cell-tuple counter.
-func (s *Stats) AddCellTuples(n int64) {
-	if s != nil {
-		s.CellTuples.Add(n)
-	}
-}
-
-// AddPrunedCellPrefixes increments the pruned-cell-prefix counter.
-func (s *Stats) AddPrunedCellPrefixes(n int64) {
-	if s != nil {
-		s.PrunedCellPrefixes.Add(n)
-	}
-}
-
-// AddRankPops increments the rank-graph pop counter.
-func (s *Stats) AddRankPops(n int64) {
-	if s != nil {
-		s.RankPops.Add(n)
-	}
-}
-
-// AddSampledOut increments the sampled-out counter.
-func (s *Stats) AddSampledOut(n int64) {
-	if s != nil {
-		s.SampledOut.Add(n)
-	}
-}
-
-// AddAttrSimMemoHits increments the memo-hit counter.
-func (s *Stats) AddAttrSimMemoHits(n int64) {
-	if s != nil {
-		s.AttrSimMemoHits.Add(n)
-	}
-}
-
-// AddAttrSimMemoMisses increments the memo-miss counter.
-func (s *Stats) AddAttrSimMemoMisses(n int64) {
-	if s != nil {
-		s.AttrSimMemoMisses.Add(n)
-	}
-}
-
-// RaiseSubspaceCandidates raises the per-subspace candidate maximum to
-// n if n exceeds the current value (CAS loop: parallel subspace workers
-// race to publish their totals).
-func (s *Stats) RaiseSubspaceCandidates(n int64) {
+// AddSnapshot adds every counter of a unit's work batch d to s and
+// raises SubspaceCandidatesMax to d's value — the one route by which
+// the algorithms publish work. They batch a unit's counters in a plain
+// Snapshot (the hot loops bump plain int64 fields, not atomics), then
+// hand that same value here and to the unit's span. A nil receiver is
+// a no-op, so statistics cost nothing when disabled.
+func (s *Stats) AddSnapshot(d Snapshot) {
 	if s == nil {
 		return
 	}
+	add(&s.Subspaces, d.Subspaces)
+	add(&s.SubspacesSkipped, d.SubspacesSkipped)
+	add(&s.Candidates, d.Candidates)
+	add(&s.PrunedPrefixes, d.PrunedPrefixes)
+	add(&s.Tuples, d.Tuples)
+	add(&s.Offered, d.Offered)
+	add(&s.CellTuples, d.CellTuples)
+	add(&s.PrunedCellPrefixes, d.PrunedCellPrefixes)
+	add(&s.RankPops, d.RankPops)
+	add(&s.SampledOut, d.SampledOut)
+	add(&s.AttrSimMemoHits, d.AttrSimMemoHits)
+	add(&s.AttrSimMemoMisses, d.AttrSimMemoMisses)
+	// CAS loop: parallel workers race to publish their subspace totals.
 	for {
 		cur := s.SubspaceCandidatesMax.Load()
-		if n <= cur || s.SubspaceCandidatesMax.CompareAndSwap(cur, n) {
+		if d.SubspaceCandidatesMax <= cur || s.SubspaceCandidatesMax.CompareAndSwap(cur, d.SubspaceCandidatesMax) {
 			return
 		}
+	}
+}
+
+// add skips zero deltas: most units touch a few counters, and an
+// atomic add of 0 would still contend for the shared cache line.
+func add(c *atomic.Int64, n int64) {
+	if n != 0 {
+		c.Add(n)
 	}
 }
 

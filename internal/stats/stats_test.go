@@ -4,14 +4,10 @@ import "testing"
 
 func TestSnapshotAdd(t *testing.T) {
 	var s Stats
-	s.AddSubspaces(2)
-	s.AddCandidates(10)
-	s.AddTuples(3)
+	s.AddSnapshot(Snapshot{Subspaces: 2, Candidates: 10, Tuples: 3})
 	a := s.Snapshot()
 	var s2 Stats
-	s2.AddSubspaces(1)
-	s2.AddCandidates(5)
-	s2.AddRankPops(7)
+	s2.AddSnapshot(Snapshot{Subspaces: 1, Candidates: 5, RankPops: 7})
 	b := s2.Snapshot()
 
 	sum := a.Add(b)
@@ -40,16 +36,43 @@ func TestSnapshotAdd(t *testing.T) {
 	}
 }
 
+// TestAddSnapshot: AddSnapshot must agree with Snapshot.Add on every
+// counter — sums for the work counters, max for SubspaceCandidatesMax —
+// so a unit's batch lands identically in the query totals and on its
+// span.
+func TestAddSnapshot(t *testing.T) {
+	var units []Snapshot
+	for i := int64(1); i <= 3; i++ {
+		d := Snapshot{
+			Subspaces: i, SubspacesSkipped: i + 1, Candidates: i + 2,
+			PrunedPrefixes: i + 3, Tuples: i + 4, Offered: i + 5,
+			CellTuples: i + 6, PrunedCellPrefixes: i + 7, RankPops: i + 8,
+			SampledOut: i + 9, AttrSimMemoHits: i + 10, AttrSimMemoMisses: i + 11,
+			SubspaceCandidatesMax: 10 * (i % 3),
+		}
+		units = append(units, d)
+	}
+	var s Stats
+	var want Snapshot
+	for _, d := range units {
+		s.AddSnapshot(d)
+		want = want.Add(d)
+	}
+	if got := s.Snapshot(); got != want {
+		t.Errorf("AddSnapshot totals = %+v, want %+v", got, want)
+	}
+}
+
 func TestSubspaceCandidatesMax(t *testing.T) {
 	var s Stats
-	s.RaiseSubspaceCandidates(10)
-	s.RaiseSubspaceCandidates(4) // lower value must not win
-	s.RaiseSubspaceCandidates(25)
+	s.AddSnapshot(Snapshot{SubspaceCandidatesMax: 10})
+	s.AddSnapshot(Snapshot{SubspaceCandidatesMax: 4}) // lower value must not win
+	s.AddSnapshot(Snapshot{SubspaceCandidatesMax: 25})
 	if got := s.Snapshot().SubspaceCandidatesMax; got != 25 {
 		t.Errorf("SubspaceCandidatesMax = %d, want 25", got)
 	}
 	var nilStats *Stats
-	nilStats.RaiseSubspaceCandidates(99) // nil-safe no-op
+	nilStats.AddSnapshot(Snapshot{SubspaceCandidatesMax: 99}) // nil-safe no-op
 	a := Snapshot{SubspaceCandidatesMax: 7}
 	b := Snapshot{SubspaceCandidatesMax: 12}
 	if got := a.Add(b).SubspaceCandidatesMax; got != 12 {
@@ -62,8 +85,7 @@ func TestSubspaceCandidatesMax(t *testing.T) {
 
 func TestNilStatsSafe(t *testing.T) {
 	var s *Stats
-	s.AddSubspaces(1)
-	s.AddOffered(1)
+	s.AddSnapshot(Snapshot{Subspaces: 1, Offered: 1})
 	if snap := s.Snapshot(); snap != (Snapshot{}) {
 		t.Errorf("nil Stats snapshot = %+v, want zero", snap)
 	}

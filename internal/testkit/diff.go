@@ -221,7 +221,7 @@ func CheckCase(ctx context.Context, c *Case, parallel, checkLORA bool) ([]Mismat
 		out = append(out, CompareExact(c, "hsp-parallel", want, got)...)
 	}
 
-	got, err = dfsprune.Search(ctx, c.DS, c.Q)
+	got, err = dfsprune.Search(ctx, c.DS, c.Q, dfsprune.Options{})
 	if err != nil {
 		return out, fmt.Errorf("dfs-prune: %w", err)
 	}
