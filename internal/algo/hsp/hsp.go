@@ -239,6 +239,7 @@ type searcher struct {
 	tuple       []int32
 	scratch     *simil.Scratch
 	batch       simil.BatchScratch
+	gather      partition.Points
 	loose       bool
 	sortedBreak bool
 	countHits   bool
@@ -291,9 +292,16 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool)
 			}
 			continue
 		}
-		source := ss.ACPoints
+		// Dimension 0 draws from the core's run of the category (Lemma
+		// 1), later dimensions from the whole ac-subspace.
+		cat := c.Ex.Categories[d]
+		var source []int32
 		if d == 0 {
-			source = ss.CorePoints
+			source = ss.CoreRun(cat).Pos
+		} else {
+			s.gather.Reset()
+			ss.GatherAC(cat, &s.gather)
+			source = s.gather.Pos
 		}
 		p.cands[d] = s.candidatesInto(d, source, p.cands[d][:0])
 		if len(p.cands[d]) == 0 {

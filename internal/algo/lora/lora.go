@@ -47,7 +47,9 @@ const loraMinChunk = 1
 // Options tune implementation details; the zero value is the paper's LORA.
 type Options struct {
 	// RandomSample replaces query-dependent sampling with seeded random
-	// sampling (the strawman of Fig. 4, for the A2 ablation).
+	// sampling (the strawman of Fig. 4, for the A2 ablation): each bucket
+	// keeps the xi candidates with the largest seeded hash of
+	// (dimension, cell, position), whatever order they arrive in.
 	RandomSample bool
 	// RandomSeed drives RandomSample.
 	RandomSeed int64
@@ -252,10 +254,11 @@ type searcher struct {
 	cellLists  [][]scoredCell
 	rbarSuffix []float64
 
-	// batch scoring scratch for bucketing (category-filtered positions
-	// and their blocked attribute sims)
-	posBuf []int32
+	// bucketing scratch: the gathered ac-subspace candidates, their
+	// blocked attribute sims and the per-cell selection heaps
+	gather partition.Points
 	simBuf []float64
+	heaps  [][]ranked
 
 	// enumeration scratch (per-searcher, reused across cell tuples)
 	cellTuple  []int
@@ -334,6 +337,9 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 		p.cellLists = make([][]scoredCell, m)
 		p.rbarSuffix = make([]float64, m+1)
 	}
+	if len(s.heaps) < nc {
+		s.heaps = append(s.heaps, make([][]ranked, nc-len(s.heaps))...)
+	}
 	for d := 0; d < m; d++ {
 		if p.buckets[d] == nil || len(p.buckets[d]) < nc {
 			p.buckets[d] = make([][]simil.Cand, nc)
@@ -362,44 +368,41 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
 			continue
 		}
-		source := ss.ACPoints
-		if d == 0 {
-			source = ss.CorePoints
-		}
-		// Blocked batch scoring: gather the category survivors, score
-		// them with one AttrSimBatch sweep, then bucket by cell. Same
-		// candidate order, sims and counters as the scalar loop.
+		// Gather the category's candidates with their coordinates
+		// inline: dimension 0 from the core's run (Lemma 1), later
+		// dimensions from the whole ac-subspace. Score them with one
+		// AttrSimBatch sweep, then stream them into their buckets.
 		cat := c.Ex.Categories[d]
-		pos := s.posBuf[:0]
-		for _, ps := range source {
-			if c.DS.Category(int(ps)) == cat {
-				pos = append(pos, ps)
-			}
+		var pts partition.Points
+		if d == 0 {
+			pts = ss.CoreRun(cat)
+		} else {
+			s.gather.Reset()
+			ss.GatherAC(cat, &s.gather)
+			pts = s.gather
 		}
-		s.posBuf = pos
-		s.unit.Candidates += int64(len(pos))
+		n := pts.Len()
+		s.unit.Candidates += int64(n)
 		if s.countHits {
-			s.unit.AttrSimMemoHits += int64(len(pos))
+			s.unit.AttrSimMemoHits += int64(n)
 		}
-		if cap(s.simBuf) < len(pos) {
-			s.simBuf = make([]float64, len(pos))
+		if cap(s.simBuf) < n {
+			s.simBuf = make([]float64, n)
 		}
-		sims := s.simBuf[:len(pos)]
-		c.AttrSimBatch(d, pos, sims)
-		for i, ps := range pos {
-			cell := g.Cell(c.DS.Loc(int(ps)))
-			p.buckets[d][cell] = append(p.buckets[d][cell], simil.Cand{Pos: ps, Sim: sims[i]})
-		}
+		sims := s.simBuf[:n]
+		c.AttrSimBatch(d, pts.Pos, sims)
+		s.sample(p.buckets[d], g, d, &pts, sims)
+		kept := 0
 		for cell := 0; cell < nc; cell++ {
 			b := p.buckets[d][cell]
 			if len(b) == 0 {
 				continue
 			}
-			before := len(b)
-			p.buckets[d][cell] = s.sampleBucket(b, d, cell)
-			s.unit.SampledOut += int64(before - len(p.buckets[d][cell]))
-			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
+			kept += len(b)
+			simil.SortCandidates(b)
+			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: b[0].Sim})
 		}
+		s.unit.SampledOut += int64(n - kept)
 		if len(p.cellLists[d]) == 0 {
 			return true, nil // no candidates for this dimension here
 		}
@@ -414,25 +417,106 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 	return false, nil
 }
 
-// sampleBucket applies Point-Sample (Algorithm 6): sort descending by
-// attribute similarity and keep the first xi. With RandomSample the kept
-// set is a seeded random subset instead (the Fig. 4 strawman), re-sorted
-// descending so downstream ordering invariants hold.
-func (s *searcher) sampleBucket(b []simil.Cand, dim, cell int) []simil.Cand {
+// ranked is one candidate in a bucket's bounded selection heap: its
+// sampling key (the similarity, or under RandomSample a seeded hash),
+// its position, and its index into the gathered candidates.
+type ranked struct {
+	key float64
+	pos int32
+	i   int32
+}
+
+// ahead reports whether a is kept before b: key descending, ties by
+// position ascending — a total order on a bucket's distinct positions.
+func (a ranked) ahead(b ranked) bool {
+	return a.key > b.key || (a.key >= b.key && a.pos < b.pos)
+}
+
+// sample streams scored candidates into their (dimension, cell) buckets
+// under Point-Sample (Algorithm 6). Each cell keeps only its best xi
+// candidates in a bounded heap whose root is the worst one kept, so no
+// bucket is ever fully sorted; the kept set equals sorting the whole
+// bucket and truncating it to xi, whatever order candidates arrive in.
+// xi <= 0 keeps every candidate. Callers sort each bucket afterwards.
+//
+//seq:hotpath
+func (s *searcher) sample(buckets [][]simil.Cand, g *grid.Grid, dim int, pts *partition.Points, sims []float64) {
 	xi := s.q.Params.Xi
-	if s.opt.RandomSample && xi > 0 && len(b) > xi {
-		rng := newSplitMix(uint64(s.opt.RandomSeed) ^ uint64(dim)<<32 ^ uint64(cell))
-		for i := len(b) - 1; i > 0; i-- {
-			j := int(rng.next() % uint64(i+1))
-			b[i], b[j] = b[j], b[i]
+	heaps := s.heaps[:len(buckets)]
+	for i, pos := range pts.Pos {
+		cell := g.Cell(pts.Loc(i))
+		e := ranked{key: sims[i], pos: pos, i: int32(i)}
+		if s.opt.RandomSample {
+			e.key = s.sampleKey(dim, cell, pos)
 		}
-		b = b[:xi]
+		h := heaps[cell]
+		switch {
+		case xi <= 0:
+			//lint:ignore hotpathalloc appends into the searcher's reused heap storage
+			h = append(h, e)
+		case len(h) < xi:
+			//lint:ignore hotpathalloc appends into the searcher's reused heap storage; a heap holds at most xi
+			h = append(h, e)
+			siftUp(h)
+		case e.ahead(h[0]):
+			h[0] = e
+			siftDown(h)
+		}
+		heaps[cell] = h
 	}
-	simil.SortCandidates(b)
-	if xi > 0 && len(b) > xi {
-		b = b[:xi]
+	for cell, h := range heaps {
+		for _, e := range h {
+			//lint:ignore hotpathalloc appends into the prep state's reused bucket storage
+			buckets[cell] = append(buckets[cell], simil.Cand{Pos: e.pos, Sim: sims[e.i]})
+		}
+		heaps[cell] = h[:0]
 	}
-	return b
+}
+
+// siftUp restores the worst-at-root heap order after an append.
+//
+//seq:hotpath
+func siftUp(h []ranked) {
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[parent].ahead(h[i]) {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+// siftDown restores the worst-at-root heap order after the root was
+// replaced.
+//
+//seq:hotpath
+func siftDown(h []ranked) {
+	for i := 0; ; {
+		worst := 2*i + 1
+		if worst >= len(h) {
+			return
+		}
+		if r := worst + 1; r < len(h) && h[worst].ahead(h[r]) {
+			worst = r
+		}
+		if !h[i].ahead(h[worst]) {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// sampleKey is RandomSample's seeded pseudo-random key of a candidate:
+// the splitmix64 finalizer over seed, dimension, cell and position,
+// truncated to the 53 bits a float64 holds exactly.
+func (s *searcher) sampleKey(dim, cell int, pos int32) float64 {
+	z := uint64(s.opt.RandomSeed) ^ uint64(dim)<<48 ^ uint64(cell)<<32 ^ uint64(uint32(pos))
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return float64((z ^ (z >> 31)) >> 11)
 }
 
 // cellDFS is Cell-Tuple-Enum (Algorithm 4), restricted at this level to
@@ -637,19 +721,3 @@ func (s *searcher) assembleTuple(lists [][]simil.Cand, ranks []int32) bool {
 // singleRanks is the all-zero rank vector reused by the singleton fast
 // path (the maximum tuple size is small; 16 is far beyond any practical m).
 var singleRanks [16]int32
-
-// splitMix is a tiny deterministic PRNG for the RandomSample ablation.
-type splitMix uint64
-
-func newSplitMix(seed uint64) *splitMix {
-	s := splitMix(seed)
-	return &s
-}
-
-func (s *splitMix) next() uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}

@@ -156,16 +156,18 @@ var _ Searcher = (*Engine)(nil)
 // NewEngine builds the engine and its shared spatial index.
 func NewEngine(ds *dataset.Dataset) *Engine {
 	pts := make([]geo.Point, ds.Len())
+	cats := make([]dataset.CategoryID, ds.Len())
 	for i := range pts {
-		pts[i] = ds.Loc(i)
+		pts[i], cats[i] = ds.Loc(i), ds.Category(i)
 	}
-	return NewEngineWithIndex(ds, partition.NewIndex(pts))
+	return NewEngineWithIndex(ds, partition.NewIndex(pts, cats))
 }
 
 // NewEngineWithIndex builds an engine around an existing partition index
-// (which must index exactly the locations of ds, in dataset position
-// order). The sharded tier uses it to run one engine per shard against
-// one shared dataset and index instead of N copies of the R-tree.
+// (which must index exactly the locations and categories of ds, in
+// dataset position order). The sharded tier uses it to run one engine
+// per shard against one shared dataset and index instead of N copies of
+// the R-tree.
 func NewEngineWithIndex(ds *dataset.Dataset, pix *partition.Index) *Engine {
 	return &Engine{ds: ds, pix: pix, shardID: flight.NoShard}
 }

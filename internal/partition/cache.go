@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Partition results are immutable and depend only on the radius, so
@@ -25,18 +26,29 @@ const cacheCap = 16
 
 type partitionCache struct {
 	mu      sync.Mutex
-	entries map[float64]*Partition
+	entries map[float64]*cacheEntry
 	order   []float64 // LRU, oldest first
+	builds  atomic.Int64
+}
+
+// cacheEntry is one radius bucket's partition. ready closes once p/err
+// are set, so concurrent requests for a cold bucket wait for the single
+// build in flight instead of building their own copy.
+type cacheEntry struct {
+	ready chan struct{}
+	p     *Partition
+	err   error
 }
 
 // PartitionBucketed returns a (possibly shared) partition whose radius is
 // the requested radius rounded up to a bucket boundary. Rules for radius
 // validity match Partition.
 func (ix *Index) PartitionBucketed(radius float64) (*Partition, error) {
-	if math.IsInf(radius, 1) || math.IsNaN(radius) || radius <= 0 {
-		// +Inf is itself a bucket; invalid values fall through to
-		// Partition for uniform error handling.
-		return ix.cachedPartition(radius)
+	if math.IsNaN(radius) || radius <= 0 {
+		return ix.Partition(radius) // rejects it; nothing to cache
+	}
+	if math.IsInf(radius, 1) {
+		return ix.cachedPartition(radius) // +Inf is itself a bucket
 	}
 	bucket := math.Pow(bucketFactor, math.Ceil(math.Log(radius)/math.Log(bucketFactor)))
 	if bucket < radius { // floating-point guard
@@ -46,35 +58,43 @@ func (ix *Index) PartitionBucketed(radius float64) (*Partition, error) {
 }
 
 func (ix *Index) cachedPartition(radius float64) (*Partition, error) {
-	ix.cache.mu.Lock()
-	if ix.cache.entries == nil {
-		ix.cache.entries = make(map[float64]*Partition)
+	e, cold := ix.cache.entry(radius)
+	if cold {
+		// Build outside the lock; concurrent requests for this bucket
+		// wait on ready. The radius is valid, so the build cannot fail
+		// and the entry never needs evicting for an error.
+		ix.cache.builds.Add(1)
+		func() {
+			defer close(e.ready)
+			e.p, e.err = ix.Partition(radius)
+		}()
 	}
-	if p, ok := ix.cache.entries[radius]; ok {
-		ix.cache.touch(radius)
-		ix.cache.mu.Unlock()
-		return p, nil
-	}
-	ix.cache.mu.Unlock()
+	<-e.ready
+	return e.p, e.err
+}
 
-	p, err := ix.Partition(radius) // build outside the lock
-	if err != nil {
-		return nil, err
+// entry returns radius's cache entry, marking it most recently used. A
+// missing entry is created (evicting the least recently used one at the
+// cap) and reported cold: the caller must build it and close ready.
+func (c *partitionCache) entry(radius float64) (e *cacheEntry, cold bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries == nil {
+		c.entries = make(map[float64]*cacheEntry)
 	}
-
-	ix.cache.mu.Lock()
-	defer ix.cache.mu.Unlock()
-	if existing, ok := ix.cache.entries[radius]; ok {
-		return existing, nil // another goroutine won the race
+	if e, ok := c.entries[radius]; ok {
+		c.touch(radius)
+		return e, false
 	}
-	if len(ix.cache.order) >= cacheCap {
-		oldest := ix.cache.order[0]
-		ix.cache.order = ix.cache.order[1:]
-		delete(ix.cache.entries, oldest)
+	if len(c.order) >= cacheCap {
+		oldest := c.order[0]
+		c.order = c.order[1:]
+		delete(c.entries, oldest) // waiters on it keep their pointer
 	}
-	ix.cache.entries[radius] = p
-	ix.cache.order = append(ix.cache.order, radius)
-	return p, nil
+	e = &cacheEntry{ready: make(chan struct{})}
+	c.entries[radius] = e
+	c.order = append(c.order, radius)
+	return e, true
 }
 
 func (c *partitionCache) touch(radius float64) {

@@ -10,7 +10,7 @@ import (
 func TestBucketedRoundsUp(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pts := randPoints(rng, 300, 100)
-	ix := NewIndex(pts)
+	ix := testIndex(pts)
 	for _, radius := range []float64{0.5, 3, 7.7, 42, 99} {
 		p, err := ix.PartitionBucketed(radius)
 		if err != nil {
@@ -34,7 +34,7 @@ func TestBucketedRoundsUp(t *testing.T) {
 func TestBucketedSharesAcrossSimilarRadii(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	pts := randPoints(rng, 500, 100)
-	ix := NewIndex(pts)
+	ix := testIndex(pts)
 	a, err := ix.PartitionBucketed(10.0)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestBucketedSharesAcrossSimilarRadii(t *testing.T) {
 func TestBucketedInfiniteRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	pts := randPoints(rng, 100, 50)
-	ix := NewIndex(pts)
+	ix := testIndex(pts)
 	a, err := ix.PartitionBucketed(math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestBucketedInfiniteRadius(t *testing.T) {
 
 func TestBucketedInvalidRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	ix := NewIndex(randPoints(rng, 10, 10))
+	ix := testIndex(randPoints(rng, 10, 10))
 	for _, r := range []float64{0, -3, math.NaN()} {
 		if _, err := ix.PartitionBucketed(r); err == nil {
 			t.Errorf("radius %g should be rejected", r)
@@ -91,7 +91,7 @@ func TestBucketedInvalidRadius(t *testing.T) {
 func TestBucketedEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	pts := randPoints(rng, 100, 100)
-	ix := NewIndex(pts)
+	ix := testIndex(pts)
 	for i := 0; i < cacheCap*3; i++ {
 		radius := math.Pow(bucketFactor, float64(i+1))
 		if _, err := ix.PartitionBucketed(radius); err != nil {
@@ -106,7 +106,7 @@ func TestBucketedEviction(t *testing.T) {
 func TestBucketedConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	pts := randPoints(rng, 1000, 100)
-	ix := NewIndex(pts)
+	ix := testIndex(pts)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -122,4 +122,38 @@ func TestBucketedConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestBucketedColdBuildRunsOnce has N goroutines request one cold radius
+// bucket at once: exactly one partition build runs and every caller gets
+// its result.
+func TestBucketedColdBuildRunsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	ix := testIndex(randPoints(rng, 20000, 100))
+	const n = 8
+	start := make(chan struct{})
+	got := make([]*Partition, n)
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			p, err := ix.PartitionBucketed(3)
+			if err != nil {
+				t.Error(err)
+			}
+			got[w] = p
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if b := ix.cache.builds.Load(); b != 1 {
+		t.Errorf("%d builds for one cold bucket, want 1", b)
+	}
+	for w, p := range got {
+		if p == nil || p != got[0] {
+			t.Fatalf("caller %d got partition %p, want the shared %p", w, p, got[0])
+		}
+	}
 }

@@ -10,17 +10,21 @@
 //
 // Enumerator realises that traversal as a lazy best-first search: Next
 // yields rank vectors in non-increasing total-score order, visiting each
-// combination at most once, and materialises only the frontier (O(visited)
+// combination exactly once, and materialises only the frontier (O(pops*m)
 // memory rather than the full product space).
 //
+// No visited set is needed. Every node other than r0 has one canonical
+// parent: the node with its last non-zero rank decremented. A popped node
+// therefore expands only along the dimensions at or after the one its own
+// parent bumped, which pushes each combination exactly once, from a
+// parent whose total is no lower (the lists descend), so best-first order
+// is kept.
+//
 // The enumerator sits on LORA's innermost hot path (one instance per cell
-// tuple), so it is engineered to amortise allocations: visited-set keys
-// are mixed-radix integers (falling back to strings only for astronomically
-// large product spaces), rank-vector storage is recycled through a
-// freelist, and Reset reuses all internal state for the next cell tuple.
+// tuple), so it is engineered to amortise allocations: rank-vector
+// storage is recycled through a freelist, and Reset reuses all internal
+// state for the next cell tuple.
 package rankgraph
-
-import "math"
 
 // Enumerator yields index combinations over m descending score lists in
 // non-increasing total-score order.
@@ -30,18 +34,15 @@ type Enumerator struct {
 	ranks []int32 // scratch returned by Next; callers must not retain
 	free  [][]int32
 
-	// visited set: mixed-radix integer keys when the product space fits
-	// in uint64, string keys otherwise.
-	strides []uint64
-	seen    map[uint64]struct{}
-	seenStr map[string]struct{}
-
 	closed bool
 }
 
 type node struct {
 	ranks []int32
 	total float64
+	// from is the dimension the canonical parent bumped (0 for the
+	// root); the node expands only along dimensions >= from.
+	from int32
 }
 
 // New returns an enumerator over the given descending score lists. Any
@@ -66,12 +67,6 @@ func (e *Enumerator) Reset(lists [][]float64) {
 	}
 	e.pq = e.pq[:0]
 	e.closed = false
-	if e.seen != nil {
-		clear(e.seen)
-	}
-	if e.seenStr != nil {
-		clear(e.seenStr)
-	}
 
 	for _, l := range lists {
 		if len(l) == 0 {
@@ -84,38 +79,6 @@ func (e *Enumerator) Reset(lists [][]float64) {
 				panic("rankgraph: score list not sorted descending")
 			}
 		}
-	}
-
-	// mixed-radix strides: key = sum ranks[d]*strides[d], unique because
-	// ranks[d] < len(lists[d]).
-	if cap(e.strides) < len(lists) {
-		//lint:ignore hotpathalloc grow-once scratch; reused across Resets
-		e.strides = make([]uint64, len(lists))
-	}
-	e.strides = e.strides[:len(lists)]
-	stride := uint64(1)
-	intKeys := true
-	for d, l := range lists {
-		e.strides[d] = stride
-		next, overflow := mulOverflow(stride, uint64(len(l)))
-		if overflow {
-			intKeys = false
-			break
-		}
-		stride = next
-	}
-	if intKeys {
-		if e.seen == nil {
-			//lint:ignore hotpathalloc visited set is created once per enumerator and cleared on Reset
-			e.seen = make(map[uint64]struct{})
-		}
-		e.seenStr = nil
-	} else {
-		if e.seenStr == nil {
-			//lint:ignore hotpathalloc string-key fallback for overflowing product spaces; created once and cleared on Reset
-			e.seenStr = make(map[string]struct{})
-		}
-		e.strides = e.strides[:0]
 	}
 
 	root := e.newRanks(len(lists))
@@ -143,13 +106,11 @@ func (e *Enumerator) Next() (ranks []int32, total float64, ok bool) {
 	}
 	n := e.pop()
 	copy(e.ranks, n.ranks)
-	// Expand out-neighbours: increment each dimension's rank by one.
-	for d := range n.ranks {
+	// Expand the out-neighbours this node is the canonical parent of:
+	// increment one rank by one, at dimension from or later.
+	for d := int(n.from); d < len(n.ranks); d++ {
 		r := n.ranks[d] + 1
 		if int(r) >= len(e.lists[d]) {
-			continue
-		}
-		if e.markVisitedChild(n.ranks, d, r) {
 			continue
 		}
 		child := e.newRanks(len(n.ranks))
@@ -157,7 +118,7 @@ func (e *Enumerator) Next() (ranks []int32, total float64, ok bool) {
 		child[d] = r
 		childTotal := n.total - e.lists[d][r-1] + e.lists[d][r]
 		//lint:ignore hotpathalloc frontier append; pq storage is reused across Resets, growth amortises out
-		e.pq = append(e.pq, node{ranks: child, total: childTotal})
+		e.pq = append(e.pq, node{ranks: child, total: childTotal, from: int32(d)})
 		e.up(len(e.pq) - 1)
 	}
 	//lint:ignore hotpathalloc freelist recycle; bounded by the frontier and reused across Resets
@@ -165,40 +126,7 @@ func (e *Enumerator) Next() (ranks []int32, total float64, ok bool) {
 	return e.ranks, n.total, true
 }
 
-// markVisitedChild records the child of ranks with dimension d bumped to r
-// in the visited set; it reports whether the child was already present.
-func (e *Enumerator) markVisitedChild(ranks []int32, d int, r int32) bool {
-	if e.seenStr == nil {
-		var key uint64
-		for i, v := range ranks {
-			key += uint64(v) * e.strides[i]
-		}
-		key += uint64(r-ranks[d]) * e.strides[d]
-		if _, dup := e.seen[key]; dup {
-			return true
-		}
-		e.seen[key] = struct{}{}
-		return false
-	}
-	//lint:ignore hotpathalloc string-key fallback; only for product spaces overflowing uint64 mixed-radix keys
-	buf := make([]byte, 0, 4*len(ranks))
-	for i, v := range ranks {
-		if i == d {
-			v = r
-		}
-		//lint:ignore hotpathalloc appends into buf's preallocated 4*m capacity; never grows
-		buf = append(buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	//lint:ignore hotpathalloc string-key fallback; only for product spaces overflowing uint64 mixed-radix keys
-	key := string(buf)
-	if _, dup := e.seenStr[key]; dup {
-		return true
-	}
-	e.seenStr[key] = struct{}{}
-	return false
-}
-
-// push inserts a node (used only for the root, which is never a duplicate).
+// push inserts the root node.
 func (e *Enumerator) push(ranks []int32, total float64) {
 	//lint:ignore hotpathalloc root push, once per Reset; pq storage is reused
 	e.pq = append(e.pq, node{ranks: ranks, total: total})
@@ -258,12 +186,4 @@ func (e *Enumerator) down(i int) {
 		e.pq[i], e.pq[largest] = e.pq[largest], e.pq[i]
 		i = largest
 	}
-}
-
-func mulOverflow(a, b uint64) (uint64, bool) {
-	if a == 0 || b == 0 {
-		return 0, false
-	}
-	c := a * b
-	return c, c/b != a || c > math.MaxUint64/2 // keep headroom for key sums
 }

@@ -1,6 +1,7 @@
 package rankgraph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -142,7 +143,7 @@ func TestMatchesBruteForceOrder(t *testing.T) {
 
 func TestLazyFrontierDoesNotExplode(t *testing.T) {
 	// 4 lists of 50 entries = 6.25M combinations; popping only 100 must
-	// stay cheap and allocate only the visited frontier.
+	// stay cheap and materialise only the frontier.
 	lists := make([][]float64, 4)
 	for d := range lists {
 		l := make([]float64, 50)
@@ -161,8 +162,9 @@ func TestLazyFrontierDoesNotExplode(t *testing.T) {
 			t.Fatal("ordering violated")
 		}
 	}
-	if len(e.seen) > 100*4+1 {
-		t.Errorf("visited set grew to %d, expected <= pops*m+1", len(e.seen))
+	// Each pop removes one node and pushes at most m children.
+	if len(e.pq) > 100*(4-1)+1 {
+		t.Errorf("frontier grew to %d, expected <= pops*(m-1)+1", len(e.pq))
 	}
 }
 
@@ -175,4 +177,59 @@ func TestNextReusesRankBuffer(t *testing.T) {
 		t.Skip("buffer reuse is an implementation detail; pointers differ")
 	}
 	_ = v
+}
+
+// TestExhaustiveTiedScores enumerates every combination of small lists
+// with heavily tied scores: each combination must pop exactly once, in
+// non-increasing total order, and the frontier stays within its bound.
+func TestExhaustiveTiedScores(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + rng.Intn(4)
+		lists := make([][]float64, m)
+		total := 1
+		for d := range lists {
+			n := 1 + rng.Intn(4)
+			total *= n
+			l := make([]float64, n)
+			for i := range l {
+				l[i] = float64(rng.Intn(3)) / 4 // few distinct values: many ties
+			}
+			sort.Sort(sort.Reverse(sort.Float64Slice(l)))
+			lists[d] = l
+		}
+		e := New(lists)
+		seen := make(map[string]bool, total)
+		prev := math.Inf(1)
+		pops := 0
+		for {
+			r, sum, ok := e.Next()
+			if !ok {
+				break
+			}
+			pops++
+			key := fmt.Sprint(r)
+			if seen[key] {
+				t.Fatalf("trial %d: combination %v popped twice", trial, r)
+			}
+			seen[key] = true
+			var want float64
+			for d, rank := range r {
+				want += lists[d][rank]
+			}
+			if math.Abs(sum-want) > 1e-12 {
+				t.Fatalf("trial %d: %v total %g, want %g", trial, r, sum, want)
+			}
+			if sum > prev+1e-12 {
+				t.Fatalf("trial %d: total %g popped after %g", trial, sum, prev)
+			}
+			prev = sum
+			if len(e.pq) > pops*(m-1)+1 {
+				t.Fatalf("trial %d: frontier %d after %d pops", trial, len(e.pq), pops)
+			}
+		}
+		if pops != total {
+			t.Fatalf("trial %d: popped %d of %d combinations", trial, pops, total)
+		}
+	}
 }

@@ -41,8 +41,8 @@ type Config struct {
 	// Backends is set.
 	Shards int
 	// Index, when non-nil, is a prebuilt partition index over exactly the
-	// dataset's locations; all shard engines share it (and its partition
-	// cache). Nil builds one.
+	// dataset's locations and categories; all shard engines share it (and
+	// its partition cache). Nil builds one.
 	Index *partition.Index
 	// Parallelism is each shard's intra-search parallelism (<= 1
 	// sequential). The scatter itself always runs one goroutine per
@@ -108,7 +108,11 @@ func New(ds *dataset.Dataset, cfg Config) *Coordinator {
 	} else {
 		pix := cfg.Index
 		if pix == nil {
-			pix = partition.NewIndex(pts)
+			cats := make([]dataset.CategoryID, ds.Len())
+			for i := range cats {
+				cats[i] = ds.Category(i)
+			}
+			pix = partition.NewIndex(pts, cats)
 		}
 		c.backends = make([]Backend, n)
 		for i := 0; i < n; i++ {

@@ -159,15 +159,16 @@ func PinDims(rng *rand.Rand, ds *dataset.Dataset, q *query.Query, dims ...int) b
 	return true
 }
 
-// BuildIndex builds the partition index over the dataset's locations — the
-// same construction core.NewEngine performs, shared here so algorithm
-// tests do not each reimplement it.
+// BuildIndex builds the partition index over the dataset's locations and
+// categories — the same construction core.NewEngine performs, shared here
+// so algorithm tests do not each reimplement it.
 func BuildIndex(ds *dataset.Dataset) *partition.Index {
 	pts := make([]geo.Point, ds.Len())
+	cats := make([]dataset.CategoryID, ds.Len())
 	for i := range pts {
-		pts[i] = ds.Loc(i)
+		pts[i], cats[i] = ds.Loc(i), ds.Category(i)
 	}
-	return partition.NewIndex(pts)
+	return partition.NewIndex(pts, cats)
 }
 
 // Sims extracts the similarity series of a result list, best-first.
