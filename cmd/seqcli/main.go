@@ -106,8 +106,8 @@ func run(args []string, out io.Writer) error {
 	}
 	if *showStats {
 		st := res.Stats
-		fmt.Fprintf(out, "work: %d subspaces (%d skipped), %d candidates, %d prefixes pruned, %d tuples scored, %d offered\n",
-			st.Subspaces, st.SubspacesSkipped, st.Candidates, st.PrunedPrefixes, st.Tuples, st.Offered)
+		fmt.Fprintf(out, "work: %d subspaces (%d skipped, %d pruned), %d candidates, %d prefixes pruned, %d tuples scored, %d offered\n",
+			st.Subspaces, st.SubspacesSkipped, st.SubspacesPruned, st.Candidates, st.PrunedPrefixes, st.Tuples, st.Offered)
 		if st.CellTuples > 0 {
 			fmt.Fprintf(out, "      %d cell tuples (%d cell prefixes pruned), %d rank-graph pops, %d points sampled out\n",
 				st.CellTuples, st.PrunedCellPrefixes, st.RankPops, st.SampledOut)

@@ -170,7 +170,7 @@ func TestRunWithStats(t *testing.T) {
 	if err := run([]string{"-data", path, "-example", spec, "-stats", "-algo", "lora"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "work:") {
+	if !strings.Contains(sb.String(), "work:") || !strings.Contains(sb.String(), " pruned),") {
 		t.Errorf("stats line missing:\n%s", sb.String())
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"math"
 	"runtime"
 
+	"spatialseq/internal/algo/bound"
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
@@ -57,8 +58,9 @@ type Options struct {
 	// order-independent). The unit of parallel work is smaller than a
 	// subspace: prepared subspaces are split into dim-0 candidate chunks
 	// workers steal from a shared scheduler, so one fat subspace no
-	// longer caps speedup. <= 1 searches on the caller's goroutine,
-	// subspace by subspace; negative uses GOMAXPROCS.
+	// longer caps speedup. Subspaces are prepared in bound order (see
+	// package bound). <= 1 searches on the caller's goroutine, subspace
+	// by subspace in bound order; negative uses GOMAXPROCS.
 	Parallelism int
 	// Steal tunes the work-unit scheduler (chunk sizing of the stolen
 	// dim-0 ranges). The zero value auto-sizes.
@@ -106,20 +108,7 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		return nil, err
 	}
 
-	// If dimension 0 is pinned, only the subspace owning that point's core
-	// can produce results (Lemma 1 discipline).
-	fixed0 := q.Example.FixedDim(0)
-	work := make([]*partition.Subspace, 0, len(part.Subspaces))
-	for si := range part.Subspaces {
-		ss := &part.Subspaces[si]
-		if fixed0 >= 0 && !ss.Core.Contains(ds.Loc(int(fixed0))) {
-			continue
-		}
-		if opt.Own != nil && !opt.Own(ss.Core) {
-			continue
-		}
-		work = append(work, ss)
-	}
+	work := bound.Work(sctx, part, opt.Own)
 
 	workers := opt.Parallelism
 	if workers < 0 {
@@ -130,17 +119,18 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// single-subspace query (DisablePartition, or a pinned dim 0)
 	// parallelizes.
 	// With more than one subspace the overlapping ac-regions revisit the
-	// same (dimension, object) pairs, so memoize the attribute cosines:
-	// lazily with one worker, eagerly (read-only, worker-safe) when
-	// several share the Context. A single subspace has no reuse to win.
+	// same (dimension, object) pairs: memoize the attribute cosines in
+	// one read-only pass that also bounds and orders the subspaces. A
+	// single subspace has no reuse to win and nothing to order.
+	plan := bound.Plan{Work: work}
 	if len(work) > 1 {
 		ssp := opt.Span.Child("hsp.simprep")
-		if workers > 1 {
-			opt.Stats.AddSnapshot(stats.Snapshot{AttrSimMemoMisses: sctx.PrepareMemoShared()})
-		} else {
-			sctx.EnableMemo()
-		}
+		plan, err = bound.Order(ctx, sctx, part, work)
 		ssp.End()
+		if err != nil {
+			return nil, err
+		}
+		opt.Stats.AddSnapshot(stats.Snapshot{AttrSimMemoMisses: plan.Computed})
 	}
 	sink := opt.Sink
 	if sink == nil {
@@ -150,31 +140,25 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 			sink = topk.New(q.Params.K)
 		}
 	}
-	err = sched.Run(len(work), workers, hspMinChunk, opt.Steal, func(w int) sched.Worker[prepState] {
+	err = sched.Run(len(plan.Work), workers, hspMinChunk, opt.Steal, func(w int) sched.Worker[prepState] {
 		return &searcher{
 			ctx:         ctx,
 			sctx:        sctx,
 			q:           q,
-			work:        work,
+			plan:        &plan,
 			lane:        w,
 			heap:        sink,
 			tuple:       make([]int32, sctx.M),
 			scratch:     sctx.NewScratch(),
 			loose:       opt.LooseBounds,
 			sortedBreak: opt.SortedBreak,
-			// With a shared (eagerly filled) memo the Context counts
-			// nothing; each worker tallies its own hits instead.
-			countHits: sctx.MemoShared(),
-			st:        opt.Stats,
-			span:      opt.Span,
+			st:          opt.Stats,
+			span:        opt.Span,
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The lazy memo counts in the Context; the shared one counted above.
-	h, mi := sctx.MemoCounters()
-	opt.Stats.AddSnapshot(stats.Snapshot{AttrSimMemoHits: h, AttrSimMemoMisses: mi})
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
 	msp.End()
@@ -182,12 +166,19 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 }
 
 // Prep prepares one subspace — exactly once per subspace, keeping the
-// Lemma-1 discipline — and returns its dim-0 candidate count. The prep
-// span carries the subspace-level work delta (candidate volume, skip
-// marks, memo hits); enumeration counters land on the chunk spans.
+// Lemma-1 discipline — and returns its dim-0 candidate count. A
+// subspace whose bound cannot beat the running k-th result is pruned
+// unprepared and opens no span. The prep span carries the
+// subspace-level work delta (candidate volume, skip marks, memo hits);
+// enumeration counters land on the chunk spans.
 func (s *searcher) Prep(p *prepState, sub int) (int, error) {
+	verdict := s.plan.Check(sub, s.heap)
+	if verdict == bound.Prune {
+		s.st.AddSnapshot(stats.Snapshot{SubspacesPruned: 1})
+		return 0, nil
+	}
 	sp := s.span.Unit("hsp.prep", s.lane, sub)
-	if s.prepareInto(p, s.work[sub]) {
+	if verdict == bound.Skip || s.prepareInto(p, s.plan.Work[sub]) {
 		s.unit.SubspacesSkipped = 1
 		s.flush(sp)
 		return 0, nil
@@ -233,16 +224,15 @@ type searcher struct {
 	ctx         context.Context
 	sctx        *simil.Context
 	q           *query.Query
-	work        []*partition.Subspace
+	plan        *bound.Plan
 	lane        int
 	heap        topk.Sink
 	tuple       []int32
 	scratch     *simil.Scratch
-	batch       simil.BatchScratch
 	gather      partition.Points
+	simBuf      []float64
 	loose       bool
 	sortedBreak bool
-	countHits   bool
 
 	// cands/rbarSuffix are views of the prep state attached for the
 	// current DFS.
@@ -287,13 +277,14 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool)
 				return true
 			}
 			p.cands[d] = append(p.cands[d][:0], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
-			if s.countHits {
+			if c.Memoized() {
 				s.unit.AttrSimMemoHits++
 			}
 			continue
 		}
 		// Dimension 0 draws from the core's run of the category (Lemma
-		// 1), later dimensions from the whole ac-subspace.
+		// 1), later dimensions from the whole ac-subspace. Both sources
+		// hold only the category, so they are scored as they are.
 		cat := c.Ex.Categories[d]
 		var source []int32
 		if d == 0 {
@@ -303,10 +294,24 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool)
 			ss.GatherAC(cat, &s.gather)
 			source = s.gather.Pos
 		}
-		p.cands[d] = s.candidatesInto(d, source, p.cands[d][:0])
-		if len(p.cands[d]) == 0 {
+		n := len(source)
+		if n == 0 {
 			return true
 		}
+		if cap(s.simBuf) < n {
+			s.simBuf = make([]float64, n)
+		}
+		sims := s.simBuf[:n]
+		c.AttrSimBatch(d, source, sims)
+		if c.Memoized() {
+			s.unit.AttrSimMemoHits += int64(n)
+		}
+		cands := p.cands[d][:0]
+		for i, pos := range source {
+			cands = append(cands, simil.Cand{Pos: pos, Sim: sims[i]})
+		}
+		simil.SortCandidates(cands)
+		p.cands[d] = cands
 	}
 	p.rbarSuffix[m] = 0
 	for d := m - 1; d >= 0; d-- {
@@ -316,18 +321,6 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool)
 		s.unit.Candidates += int64(len(p.cands[d]))
 	}
 	return false
-}
-
-// candidatesInto wraps the blocked simil.Context.CandidatesBatchInto
-// with the per-worker buffer reuse and, on the shared-memo path, the
-// hit accounting (every AttrSim against a complete read-only table is
-// a hit).
-func (s *searcher) candidatesInto(dim int, positions []int32, dst []simil.Cand) []simil.Cand {
-	dst = s.sctx.CandidatesBatchInto(dst, dim, positions, &s.batch)
-	if s.countHits {
-		s.unit.AttrSimMemoHits += int64(len(dst))
-	}
-	return dst
 }
 
 const checkEvery = 4096

@@ -27,6 +27,7 @@ import (
 	"runtime"
 	"slices"
 
+	"spatialseq/internal/algo/bound"
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
@@ -68,8 +69,9 @@ type Options struct {
 	// sequential LORA's — but the exact result set can vary between
 	// runs. The unit of parallel work is smaller than a subspace:
 	// prepared subspaces are split into chunks of their root cell list
-	// that workers steal from a shared scheduler. <= 1 searches on the
-	// caller's goroutine, subspace by subspace; negative uses
+	// that workers steal from a shared scheduler. Subspaces are prepared
+	// in bound order (see package bound). <= 1 searches on the caller's
+	// goroutine, subspace by subspace in bound order; negative uses
 	// GOMAXPROCS.
 	Parallelism int
 	// Steal tunes the work-unit scheduler (chunk sizing of the stolen
@@ -108,18 +110,7 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	if err != nil {
 		return nil, err
 	}
-	fixed0 := q.Example.FixedDim(0)
-	work := make([]*partition.Subspace, 0, len(part.Subspaces))
-	for si := range part.Subspaces {
-		ss := &part.Subspaces[si]
-		if fixed0 >= 0 && !ss.Core.Contains(ds.Loc(int(fixed0))) {
-			continue
-		}
-		if opt.Own != nil && !opt.Own(ss.Core) {
-			continue
-		}
-		work = append(work, ss)
-	}
+	work := bound.Work(sctx, part, opt.Own)
 
 	workers := opt.Parallelism
 	if workers < 0 {
@@ -128,17 +119,18 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// Workers are deliberately not capped at len(work): chunked stealing
 	// lets several workers share one subspace's root cell list.
 	// Overlapping ac-subspaces re-bucket the same (dimension, object)
-	// pairs; memoize the attribute cosines across them — lazily with one
-	// worker, eagerly (read-only) when several share the Context. One
-	// subspace means no reuse, so skip the table.
+	// pairs: memoize the attribute cosines in one read-only pass that
+	// also bounds and orders the subspaces. One subspace means no reuse
+	// and nothing to order, so skip the pass.
+	plan := bound.Plan{Work: work}
 	if len(work) > 1 {
 		ssp := opt.Span.Child("lora.simprep")
-		if workers > 1 {
-			opt.Stats.AddSnapshot(stats.Snapshot{AttrSimMemoMisses: sctx.PrepareMemoShared()})
-		} else {
-			sctx.EnableMemo()
-		}
+		plan, err = bound.Order(ctx, sctx, part, work)
 		ssp.End()
+		if err != nil {
+			return nil, err
+		}
+		opt.Stats.AddSnapshot(stats.Snapshot{AttrSimMemoMisses: plan.Computed})
 	}
 	sink := opt.Sink
 	if sink == nil {
@@ -148,29 +140,23 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 			sink = topk.New(q.Params.K)
 		}
 	}
-	err = sched.Run(len(work), workers, loraMinChunk, opt.Steal, func(w int) sched.Worker[prepState] {
+	err = sched.Run(len(plan.Work), workers, loraMinChunk, opt.Steal, func(w int) sched.Worker[prepState] {
 		return &searcher{
-			ctx:  ctx,
-			sctx: sctx,
-			heap: sink,
-			q:    q,
-			opt:  opt,
-			work: work,
-			lane: w,
-			// With a shared (eagerly filled) memo the Context counts
-			// nothing; each worker tallies its own hits instead.
-			countHits: sctx.MemoShared(),
-			tuple:     make([]int32, sctx.M),
-			asims:     make([]float64, sctx.M),
-			dist:      make([]float64, 0, sctx.Pairs),
+			ctx:   ctx,
+			sctx:  sctx,
+			heap:  sink,
+			q:     q,
+			opt:   opt,
+			plan:  &plan,
+			lane:  w,
+			tuple: make([]int32, sctx.M),
+			asims: make([]float64, sctx.M),
+			dist:  make([]float64, 0, sctx.Pairs),
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The lazy memo counts in the Context; the shared one counted above.
-	h, mi := sctx.MemoCounters()
-	opt.Stats.AddSnapshot(stats.Snapshot{AttrSimMemoHits: h, AttrSimMemoMisses: mi})
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
 	msp.End()
@@ -178,12 +164,23 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 }
 
 // Prep buckets and samples one subspace — exactly once per subspace —
-// and returns the length of its root cell list. The prep span carries
-// the subspace-level work delta (candidate volume, sampling discards,
-// skip marks, memo hits); enumeration counters land on the chunk spans.
+// and returns the length of its root cell list. A subspace whose bound
+// cannot beat the running k-th result is pruned unprepared and opens no
+// span. The prep span carries the subspace-level work delta (candidate
+// volume, sampling discards, skip marks, memo hits); enumeration
+// counters land on the chunk spans.
 func (s *searcher) Prep(p *prepState, sub int) (int, error) {
+	verdict := s.plan.Check(sub, s.heap)
+	if verdict == bound.Prune {
+		s.opt.Stats.AddSnapshot(stats.Snapshot{SubspacesPruned: 1})
+		return 0, nil
+	}
 	sp := s.opt.Span.Unit("lora.prep", s.lane, sub)
-	skip, err := s.prepareInto(p, s.work[sub])
+	skip := verdict == bound.Skip
+	var err error
+	if !skip {
+		skip, err = s.prepareInto(p, s.plan.Work[sub])
+	}
 	if err != nil {
 		sp.End()
 		return 0, err
@@ -234,14 +231,13 @@ type prepState struct {
 }
 
 type searcher struct {
-	ctx       context.Context
-	sctx      *simil.Context
-	heap      topk.Sink
-	q         *query.Query
-	opt       Options
-	work      []*partition.Subspace
-	lane      int
-	countHits bool
+	ctx  context.Context
+	sctx *simil.Context
+	heap topk.Sink
+	q    *query.Query
+	opt  Options
+	plan *bound.Plan
+	lane int
 	// unit batches the current unit's counters so hot loops touch
 	// plain ints, not atomics.
 	unit  stats.Snapshot
@@ -361,7 +357,7 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 				return true, nil // subspace cannot host the pinned object
 			}
 			cell := g.Cell(loc)
-			if s.countHits {
+			if c.Memoized() {
 				s.unit.AttrSimMemoHits++
 			}
 			p.buckets[d][cell] = append(p.buckets[d][cell], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
@@ -383,7 +379,7 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 		}
 		n := pts.Len()
 		s.unit.Candidates += int64(n)
-		if s.countHits {
+		if c.Memoized() {
 			s.unit.AttrSimMemoHits += int64(n)
 		}
 		if cap(s.simBuf) < n {

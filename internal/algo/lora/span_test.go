@@ -7,6 +7,7 @@ import (
 
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/query"
+	"spatialseq/internal/simil"
 	"spatialseq/internal/stats"
 	"spatialseq/internal/testutil"
 )
@@ -123,7 +124,8 @@ func TestSpanTimeline(t *testing.T) {
 // TestSpanOneWorkerUnits: a Parallelism 0 search runs through the same
 // unit driver as the stealing path — only lane-0 "lora.prep" /
 // "lora.chunk" units, exactly one whole-subspace chunk per searched
-// subspace — and its skew report shows one non-parallel lane.
+// subspace, and no unit at all for a subspace its bound pruned — and its
+// skew report shows one non-parallel lane.
 func TestSpanOneWorkerUnits(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	ds := testutil.RandDataset(rng, 300, 3, 4, 100)
@@ -142,6 +144,7 @@ func TestSpanOneWorkerUnits(t *testing.T) {
 	root.End()
 	chunks := make(map[int32]int)
 	searched := make(map[int32]bool)
+	preps := 0
 	for _, n := range tr.Snapshot().Nodes {
 		switch n.Name {
 		case "lora.prep", "lora.chunk":
@@ -150,16 +153,33 @@ func TestSpanOneWorkerUnits(t *testing.T) {
 			}
 			if n.Name == "lora.chunk" {
 				chunks[n.Subspace]++
-			} else if n.Work != nil && n.Work.Subspaces == 1 {
-				searched[n.Subspace] = true
+			} else {
+				preps++
+				if n.Work != nil && n.Work.Subspaces == 1 {
+					searched[n.Subspace] = true
+				}
 			}
 		case "search", "lora.partition", "lora.simprep", "topk.merge":
 		default:
 			t.Errorf("unexpected span %q", n.Name)
 		}
 	}
-	if int64(len(searched)) != st.Snapshot().Subspaces || len(searched) == 0 {
-		t.Fatalf("%d searched prep spans, counters say %d subspaces", len(searched), st.Snapshot().Subspaces)
+	snap := st.Snapshot()
+	if int64(len(searched)) != snap.Subspaces || len(searched) == 0 {
+		t.Fatalf("%d searched prep spans, counters say %d subspaces", len(searched), snap.Subspaces)
+	}
+	// Every work subspace is prepared (one prep span, searched or
+	// skipped) or pruned by its bound before any span opens.
+	part, err := ix.PartitionBucketed(simil.NewContext(ds, q).PartitionRadius())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(preps) != snap.Subspaces+snap.SubspacesSkipped || preps+int(snap.SubspacesPruned) != len(part.Subspaces) {
+		t.Errorf("%d prep spans + %d pruned for %d subspaces (counters: %d searched, %d skipped)",
+			preps, snap.SubspacesPruned, len(part.Subspaces), snap.Subspaces, snap.SubspacesSkipped)
+	}
+	if snap.SubspacesPruned == 0 {
+		t.Error("no subspace pruned: the query no longer exercises the subspace bound")
 	}
 	for sub := range searched {
 		if chunks[sub] != 1 {

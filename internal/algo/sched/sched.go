@@ -13,13 +13,16 @@
 //
 // Run is the one driver both algorithms use, for every worker count: a
 // single worker runs on the caller's goroutine, one chunk per subspace,
-// in subspace order — the sequential search.
+// in bound order — the sequential search. Prep units are handed out in
+// subspace index order, and HSP and LORA index their work by bound, best
+// first (internal/algo/bound), so the pruning threshold rises early and
+// later, weaker subspaces can be skipped unprepared.
 //
 // Exactness is unaffected by steal order: the concurrent top-k's
 // deterministic tie-break is order-independent, and a stale pruning
-// threshold only admits extra candidates. The scheduler therefore makes
-// no ordering promises beyond "every published chunk is acquired exactly
-// once".
+// threshold only admits extra candidates. Beyond preps starting in
+// index order, the scheduler makes no ordering promises: every published
+// chunk is acquired exactly once.
 //
 // The package is a leaf: pure stdlib, importable from any algorithm.
 package sched

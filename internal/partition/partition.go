@@ -66,11 +66,20 @@ type Subspace struct {
 	// category). It is a view into the partition's storage.
 	CorePoints []int32
 
+	index   int                  // position in Partition.Subspaces
 	xs, ys  []float64            // coordinates of CorePoints
 	runCats []dataset.CategoryID // distinct categories of CorePoints, ascending
 	runEnd  []int32              // runEnd[i]: end offset of runCats[i]'s run
 	nbrs    []*Subspace          // subspaces whose Core meets AC (self included)
 }
+
+// Index returns the subspace's position in its Partition's Subspaces.
+func (ss *Subspace) Index() int { return ss.index }
+
+// Neighbours returns the subspaces whose core meets AC, the subspace
+// itself included: the only cores GatherAC reads. The slice is a view
+// into the partition's storage that callers must not modify.
+func (ss *Subspace) Neighbours() []*Subspace { return ss.nbrs }
 
 // CoreRun returns the core points of category cat, a view into the
 // partition's storage that callers must not modify.
@@ -299,8 +308,9 @@ func (ix *Index) split(positions []int32, rect geo.Rect, level int, radius float
 	if rect.Diagonal() < radius || degenerate(rect) {
 		(*nodes)[id].leaf = int32(len(p.Subspaces))
 		p.Subspaces = append(p.Subspaces, Subspace{
-			Core: rect,
-			AC:   rect.Inflate(radius).Intersect(p.Bounds),
+			Core:  rect,
+			AC:    rect.Inflate(radius).Intersect(p.Bounds),
+			index: len(p.Subspaces),
 		})
 		*ends = append(*ends, (*ends)[len(*ends)-1]+int32(len(positions)))
 		return id

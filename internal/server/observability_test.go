@@ -79,7 +79,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// the engine ran once, so work counters must be populated
-	for _, counter := range []string{"subspaces", "candidates", "tuples"} {
+	for _, counter := range []string{"subspaces", "subspaces_pruned", "candidates", "tuples"} {
 		if !strings.Contains(text, `spatialseq_search_work_total{counter="`+counter+`"}`) {
 			t.Errorf("metrics output missing work counter %q", counter)
 		}

@@ -5,8 +5,8 @@
 // over the dataset's contiguous SoA rows, with the memo consulted per
 // candidate but the uncached cosines computed by one blocked
 // vectormath.DotsAt sweep. Every kernel is bit-for-bit identical to the
-// scalar path it replaces (same accumulation order, same memo fill and
-// counter sequence); the oracle tests in batch_test.go pin that down.
+// scalar path it replaces (same accumulation order); the oracle tests in
+// batch_test.go pin that down.
 package simil
 
 import (
@@ -21,17 +21,13 @@ import (
 const batchBlock = 256
 
 // AttrSimBatch writes AttrSim(dim, positions[i]) into dst[i] for every
-// position. dst must have len(positions). Results, memo fills and memo
-// counters are bit-for-bit identical to calling AttrSim in index order:
+// position. dst must have len(positions). Results are bit-for-bit
+// identical to calling AttrSim in index order:
 //
 //   - no memo: blocked DotsAt over the flat attribute matrix plus the
 //     prenormed cosine — the pure batch fast path;
-//   - lazy memo (EnableMemo): falls back to scalar AttrSim per position
-//     so the single-goroutine fill order and hit/miss counts are
-//     exactly the scalar sequence;
-//   - shared memo (PrepareMemoShared): read-only table lookups, with
-//     the direct kernel covering entries the eager pass left unfilled
-//     (dimensions pinned to a fixed object memoise only that object).
+//   - memo (FillMemo): read-only table lookups, with the direct kernel
+//     covering entries no fill reached.
 //
 //seq:hotpath
 func (c *Context) AttrSimBatch(dim int, positions []int32, dst []float64) {
@@ -41,12 +37,6 @@ func (c *Context) AttrSimBatch(dim int, positions []int32, dst []float64) {
 	}
 	if c.memo == nil {
 		c.attrSimBatchDirect(dim, positions, dst)
-		return
-	}
-	if !c.memoShared {
-		for i, pos := range positions {
-			dst[i] = c.AttrSim(dim, pos)
-		}
 		return
 	}
 	cat := c.Ex.Categories[dim]
@@ -83,41 +73,6 @@ func (c *Context) attrSimBatchDirect(dim int, positions []int32, dst []float64) 
 			dst[i] = vectormath.CosPrenormed(dst[i], qn, c.DS.AttrNorm(int(positions[i])))
 		}
 	}
-}
-
-// BatchScratch carries the reusable position/similarity buffers of
-// CandidatesBatchInto so steady-state calls allocate nothing.
-type BatchScratch struct {
-	pos  []int32
-	sims []float64
-}
-
-// CandidatesBatchInto is the batched form of CandidatesInto: it filters
-// positions to dim's category, scores the survivors with AttrSimBatch,
-// appends them to dst and sorts. Output is element-for-element
-// identical to CandidatesInto (same filter order, same sims, same
-// sort), under every memo mode.
-func (c *Context) CandidatesBatchInto(dst []Cand, dim int, positions []int32, bs *BatchScratch) []Cand {
-	cat := c.Ex.Categories[dim]
-	bs.pos = bs.pos[:0]
-	for _, pos := range positions {
-		if c.DS.Category(int(pos)) == cat {
-			bs.pos = append(bs.pos, pos)
-		}
-	}
-	if len(bs.pos) == 0 {
-		return dst
-	}
-	if cap(bs.sims) < len(bs.pos) {
-		bs.sims = make([]float64, len(bs.pos))
-	}
-	sims := bs.sims[:len(bs.pos)]
-	c.AttrSimBatch(dim, bs.pos, sims)
-	for i, pos := range bs.pos {
-		dst = append(dst, Cand{Pos: pos, Sim: sims[i]})
-	}
-	SortCandidates(dst)
-	return dst
 }
 
 // DistVectorsOfPositions is the blocked form of DistVectorOfPositions:

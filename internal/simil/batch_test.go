@@ -7,14 +7,13 @@ import (
 
 // memoModes applies each memo configuration to a freshly built context:
 // the batched kernels must be bit-for-bit against the scalar path in
-// all three.
+// both, with no memo and with a filled (shared, read-only) one.
 var memoModes = []struct {
 	name  string
 	setup func(c *Context)
 }{
 	{"direct", func(c *Context) {}},
-	{"lazy", func(c *Context) { c.EnableMemo() }},
-	{"shared", func(c *Context) { c.PrepareMemoShared() }},
+	{"shared", func(c *Context) { fillAll(c) }},
 }
 
 func TestAttrSimBatchMatchesScalar(t *testing.T) {
@@ -44,45 +43,6 @@ func TestAttrSimBatchMatchesScalar(t *testing.T) {
 				for i, pos := range positions {
 					if want := cs.AttrSim(d, pos); dst[i] != want {
 						t.Fatalf("dim %d pos %d: batch %v, scalar %v", d, pos, dst[i], want)
-					}
-				}
-			}
-			// In lazy mode the batch must also replay the scalar hit/miss
-			// sequence exactly; the other modes never touch the counters.
-			bh, bm := cb.MemoCounters()
-			sh, sm := cs.MemoCounters()
-			if bh != sh || bm != sm {
-				t.Errorf("memo counters diverge: batch %d/%d, scalar %d/%d", bh, bm, sh, sm)
-			}
-		})
-	}
-}
-
-func TestCandidatesBatchIntoMatchesCandidatesInto(t *testing.T) {
-	for _, mode := range memoModes {
-		t.Run(mode.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(64))
-			cb, _ := newCtx(t, rng, 3, 1.5)
-			rng = rand.New(rand.NewSource(64))
-			cs, _ := newCtx(t, rng, 3, 1.5)
-			mode.setup(cb)
-			mode.setup(cs)
-			all := make([]int32, cb.DS.Len())
-			for i := range all {
-				all[i] = int32(i)
-			}
-			var bs BatchScratch
-			dst := make([]Cand, 0, cb.DS.Len())
-			ref := make([]Cand, 0, cb.DS.Len())
-			for d := 0; d < cb.M; d++ {
-				got := cb.CandidatesBatchInto(dst[:0], d, all, &bs)
-				want := cs.CandidatesInto(ref[:0], d, all)
-				if len(got) != len(want) {
-					t.Fatalf("dim %d: batch len %d, scalar len %d", d, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("dim %d entry %d: batch %+v, scalar %+v", d, i, got[i], want[i])
 					}
 				}
 			}
@@ -144,7 +104,7 @@ func TestBatchKernelsZeroAlloc(t *testing.T) {
 		rng := rand.New(rand.NewSource(66))
 		c, _ := newCtx(t, rng, 3, 1.5)
 		if shared {
-			c.PrepareMemoShared()
+			fillAll(c)
 		}
 		all := make([]int32, c.DS.Len())
 		for i := range all {
@@ -157,13 +117,15 @@ func TestBatchKernelsZeroAlloc(t *testing.T) {
 			t.Errorf("shared=%v: AttrSimBatch allocated %v per run", shared, allocs)
 		}
 
-		var bs BatchScratch
-		cands := make([]Cand, 0, c.DS.Len())
-		cands = c.CandidatesBatchInto(cands, 0, all, &bs) // warm buffers
-		if allocs := testing.AllocsPerRun(20, func() {
-			cands = c.CandidatesBatchInto(cands[:0], 0, all, &bs)
-		}); allocs != 0 {
-			t.Errorf("shared=%v: CandidatesBatchInto allocated %v per run", shared, allocs)
+		if shared {
+			// FillMemo allocates the table and scratch once per query;
+			// refills of a run reuse both.
+			run := c.DS.CategoryObjects(c.Ex.Categories[0])
+			if allocs := testing.AllocsPerRun(20, func() {
+				c.FillMemo(0, run)
+			}); allocs != 0 {
+				t.Errorf("FillMemo allocated %v per refill", allocs)
+			}
 		}
 
 		const rows = 32
@@ -204,22 +166,6 @@ func BenchmarkAttrSimBatch(b *testing.B) {
 		c.AttrSimBatch(0, cands, dst)
 	}
 	benchSimSink = dst[0]
-}
-
-func BenchmarkCandidatesBatchInto(b *testing.B) {
-	c := benchContext(b)
-	all := make([]int32, c.DS.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	var bs BatchScratch
-	dst := make([]Cand, 0, c.DS.Len())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = c.CandidatesBatchInto(dst[:0], 0, all, &bs)
-	}
-	benchCandSink = dst
 }
 
 var benchDistSink []float64

@@ -1,6 +1,7 @@
 package simil
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -32,81 +33,60 @@ func TestAttrSimMatchesCosOracle(t *testing.T) {
 	}
 }
 
-func TestMemoLazyExactAndCounted(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	c, _ := newCtx(t, rng, 3, 1.5)
-	c.EnableMemo()
-	var universe int64
+// fillAll fills the memo for every object of every dimension's category
+// and returns how many cosines it stored.
+func fillAll(c *Context) int64 {
+	var n int64
 	for d := 0; d < c.M; d++ {
-		universe += int64(len(c.DS.CategoryObjects(c.Ex.Categories[d])))
+		objs := c.DS.CategoryObjects(c.Ex.Categories[d])
+		c.FillMemo(d, objs)
+		n += int64(len(objs))
 	}
-	for pass := 0; pass < 2; pass++ {
-		for d := 0; d < c.M; d++ {
-			for _, pos := range c.DS.CategoryObjects(c.Ex.Categories[d]) {
-				if got, want := c.AttrSim(d, pos), attrSimOracle(c, d, pos); got != want {
-					t.Fatalf("pass %d dim %d pos %d: memoized AttrSim = %v, Cos = %v", pass, d, pos, got, want)
-				}
-			}
-		}
-	}
-	hits, misses := c.MemoCounters()
-	if misses != universe {
-		t.Errorf("misses = %d, want %d (one per distinct dim/candidate)", misses, universe)
-	}
-	if hits != universe {
-		t.Errorf("hits = %d, want %d (the whole second pass)", hits, universe)
-	}
-	// positions outside the dimension's category bypass the memo but still
-	// answer exactly
-	for d := 0; d < c.M; d++ {
-		for pos := int32(0); pos < int32(c.DS.Len()); pos++ {
-			if c.DS.Category(int(pos)) == c.Ex.Categories[d] {
-				continue
-			}
-			if got, want := c.AttrSim(d, pos), attrSimOracle(c, d, pos); got != want {
-				t.Fatalf("off-category dim %d pos %d: %v != %v", d, pos, got, want)
-			}
-		}
-	}
+	return n
 }
 
-func TestPrepareMemoShared(t *testing.T) {
+// FillMemo stores exact cosines, returns the largest of the filled run,
+// and leaves positions outside the dimension's category to the direct
+// kernel.
+func TestFillMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	c, _ := newCtx(t, rng, 3, 1.5)
-	var universe int64
+	if c.Memoized() {
+		t.Fatal("a fresh Context reports a memo")
+	}
 	for d := 0; d < c.M; d++ {
-		universe += int64(len(c.DS.CategoryObjects(c.Ex.Categories[d])))
+		objs := c.DS.CategoryObjects(c.Ex.Categories[d])
+		want := math.Inf(-1)
+		for _, pos := range objs {
+			want = math.Max(want, attrSimOracle(c, d, pos))
+		}
+		if got := c.FillMemo(d, objs); got != want {
+			t.Errorf("dim %d: FillMemo max = %v, want %v", d, got, want)
+		}
 	}
-	if got := c.PrepareMemoShared(); got != universe {
-		t.Errorf("PrepareMemoShared computed %d cosines, want %d", got, universe)
-	}
-	if !c.MemoShared() {
-		t.Error("MemoShared should report true after PrepareMemoShared")
-	}
-	if got := c.PrepareMemoShared(); got != 0 {
-		t.Errorf("second PrepareMemoShared = %d, want 0", got)
+	if !c.Memoized() {
+		t.Error("Memoized should report true after FillMemo")
 	}
 	for d := 0; d < c.M; d++ {
 		for pos := int32(0); pos < int32(c.DS.Len()); pos++ {
 			if got, want := c.AttrSim(d, pos), attrSimOracle(c, d, pos); got != want {
-				t.Fatalf("dim %d pos %d: shared-memo AttrSim = %v, Cos = %v", d, pos, got, want)
+				t.Fatalf("dim %d pos %d: memoized AttrSim = %v, Cos = %v", d, pos, got, want)
 			}
 		}
 	}
-	// shared mode leaves the Context-side lazy counters untouched
-	if h, mi := c.MemoCounters(); h != 0 || mi != 0 {
-		t.Errorf("shared-mode MemoCounters = %d/%d, want 0/0", h, mi)
-	}
 }
 
-func TestPrepareMemoSharedFixedDim(t *testing.T) {
+// A partial fill — one run of a category, or a pinned object alone —
+// answers the filled entries from the table and the rest through the
+// direct kernel, both exactly; an empty run reports -Inf.
+func TestFillMemoPartialRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	ds := testutil.RandDataset(rng, 120, 3, 4, 100)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 30, params)
 	cands := ds.CategoryObjects(q.Example.Categories[0])
-	if len(cands) == 0 {
-		t.Skip("no candidates in dimension 0's category")
+	if len(cands) < 2 {
+		t.Skip("too few candidates in dimension 0's category")
 	}
 	q.Example.Fixed = []query.FixedPoint{{Dim: 0, Obj: cands[0]}}
 	q.Variant = query.CSEQFP
@@ -114,29 +94,30 @@ func TestPrepareMemoSharedFixedDim(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewContext(ds, q)
-	want := int64(1) // the pinned entry only for dim 0
-	for d := 1; d < c.M; d++ {
-		want += int64(len(ds.CategoryObjects(q.Example.Categories[d])))
+	if got := c.FillMemo(1, nil); !math.IsInf(got, -1) {
+		t.Errorf("empty fill = %v, want -Inf", got)
 	}
-	if got := c.PrepareMemoShared(); got != want {
-		t.Errorf("PrepareMemoShared with fixed dim computed %d, want %d", got, want)
+	if got, want := c.FillMemo(0, cands[:1]), attrSimOracle(c, 0, cands[0]); got != want {
+		t.Errorf("pinned fill = %v, want %v", got, want)
 	}
-	// pinned entry answers from the table; unpinned same-category entries
-	// fall through to the direct kernel — both must match the oracle
-	for _, pos := range cands {
-		if got, wantv := c.AttrSim(0, pos), attrSimOracle(c, 0, pos); got != wantv {
-			t.Fatalf("fixed dim pos %d: %v != %v", pos, got, wantv)
+	half := ds.CategoryObjects(q.Example.Categories[1])
+	c.FillMemo(1, half[:len(half)/2])
+	for d := 0; d < 2; d++ {
+		for _, pos := range ds.CategoryObjects(q.Example.Categories[d]) {
+			if got, want := c.AttrSim(d, pos), attrSimOracle(c, d, pos); got != want {
+				t.Fatalf("dim %d pos %d: %v != %v", d, pos, got, want)
+			}
 		}
 	}
 }
 
-// The shared memo is read-only after PrepareMemoShared; concurrent lookups
-// from many goroutines must be race-free (the suite runs under -race) and
-// still exact.
+// The memo is read-only once filled; concurrent lookups from many
+// goroutines must be race-free (the suite runs under -race) and still
+// exact.
 func TestMemoSharedConcurrentReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	c, _ := newCtx(t, rng, 3, 1.5)
-	c.PrepareMemoShared()
+	fillAll(c)
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -199,7 +180,7 @@ func TestMemoZeroNormConvention(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewContext(ds, q)
-	c.EnableMemo()
+	fillAll(c)
 	for pass := 0; pass < 2; pass++ {
 		for d := 0; d < c.M; d++ {
 			if got, want := c.AttrSim(d, 2), attrSimOracle(c, d, 2); got != want {
@@ -281,7 +262,7 @@ func BenchmarkAttrSimDirect(b *testing.B) {
 
 func BenchmarkAttrSimMemo(b *testing.B) {
 	c := benchContext(b)
-	c.PrepareMemoShared()
+	fillAll(c)
 	cands := c.DS.CategoryObjects(c.Ex.Categories[0])
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -18,6 +18,9 @@ type Stats struct {
 	// SubspacesSkipped counts subspaces skipped before any enumeration
 	// (missing category, pinned point elsewhere).
 	SubspacesSkipped atomic.Int64
+	// SubspacesPruned counts subspaces never prepared because their
+	// subspace-level upper bound could not beat the running k-th result.
+	SubspacesPruned atomic.Int64
 	// Candidates is the number of candidate points considered across all
 	// dimension lists.
 	Candidates atomic.Int64
@@ -62,6 +65,7 @@ func (s *Stats) AddSnapshot(d Snapshot) {
 	}
 	add(&s.Subspaces, d.Subspaces)
 	add(&s.SubspacesSkipped, d.SubspacesSkipped)
+	add(&s.SubspacesPruned, d.SubspacesPruned)
 	add(&s.Candidates, d.Candidates)
 	add(&s.PrunedPrefixes, d.PrunedPrefixes)
 	add(&s.Tuples, d.Tuples)
@@ -96,6 +100,7 @@ func add(c *atomic.Int64, n int64) {
 type Snapshot struct {
 	Subspaces          int64 `json:"subspaces"`
 	SubspacesSkipped   int64 `json:"subspaces_skipped"`
+	SubspacesPruned    int64 `json:"subspaces_pruned"`
 	Candidates         int64 `json:"candidates"`
 	PrunedPrefixes     int64 `json:"pruned_prefixes"`
 	Tuples             int64 `json:"tuples"`
@@ -121,6 +126,7 @@ type Snapshot struct {
 func (s Snapshot) Each(f func(name string, value int64)) {
 	f("subspaces", s.Subspaces)
 	f("subspaces_skipped", s.SubspacesSkipped)
+	f("subspaces_pruned", s.SubspacesPruned)
 	f("candidates", s.Candidates)
 	f("pruned_prefixes", s.PrunedPrefixes)
 	f("tuples", s.Tuples)
@@ -142,6 +148,7 @@ func (s Snapshot) Each(f func(name string, value int64)) {
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.Subspaces += o.Subspaces
 	s.SubspacesSkipped += o.SubspacesSkipped
+	s.SubspacesPruned += o.SubspacesPruned
 	s.Candidates += o.Candidates
 	s.PrunedPrefixes += o.PrunedPrefixes
 	s.Tuples += o.Tuples
@@ -166,6 +173,7 @@ func (s *Stats) Snapshot() Snapshot {
 	return Snapshot{
 		Subspaces:             s.Subspaces.Load(),
 		SubspacesSkipped:      s.SubspacesSkipped.Load(),
+		SubspacesPruned:       s.SubspacesPruned.Load(),
 		Candidates:            s.Candidates.Load(),
 		PrunedPrefixes:        s.PrunedPrefixes.Load(),
 		Tuples:                s.Tuples.Load(),

@@ -31,8 +31,8 @@ func TestSnapshotAdd(t *testing.T) {
 		}
 		i++
 	})
-	if i != 13 {
-		t.Errorf("Each visited %d counters, want 13", i)
+	if i != 14 {
+		t.Errorf("Each visited %d counters, want 14", i)
 	}
 }
 
@@ -48,7 +48,7 @@ func TestAddSnapshot(t *testing.T) {
 			PrunedPrefixes: i + 3, Tuples: i + 4, Offered: i + 5,
 			CellTuples: i + 6, PrunedCellPrefixes: i + 7, RankPops: i + 8,
 			SampledOut: i + 9, AttrSimMemoHits: i + 10, AttrSimMemoMisses: i + 11,
-			SubspaceCandidatesMax: 10 * (i % 3),
+			SubspacesPruned: i + 12, SubspaceCandidatesMax: 10 * (i % 3),
 		}
 		units = append(units, d)
 	}

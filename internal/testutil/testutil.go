@@ -5,6 +5,7 @@
 package testutil
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -169,6 +170,62 @@ func BuildIndex(ds *dataset.Dataset) *partition.Index {
 		pts[i], cats[i] = ds.Loc(i), ds.Category(i)
 	}
 	return partition.NewIndex(pts, cats)
+}
+
+// BoundCase is one query of the subspace-bound property tests.
+type BoundCase struct {
+	Name string
+	DS   *dataset.Dataset
+	Ix   *partition.Index
+	Q    *query.Query
+}
+
+// BoundCases draws small random datasets and, over each, the queries the
+// subspace bound must hold for: CSEQ, and CSEQ-FP with dimension 0,
+// dimension 1 or both pinned, at k in {1, 5} and alpha in {0.3, 0.5, 1}.
+// Queries whose pinned category is empty are left out.
+func BoundCases(seed int64, datasets int) []BoundCase {
+	rng := rand.New(rand.NewSource(seed))
+	var cases []BoundCase
+	for i := 0; i < datasets; i++ {
+		ds := RandDataset(rng, 150+rng.Intn(250), 3, 4, 100)
+		ix := BuildIndex(ds)
+		for _, pins := range [][]int{nil, {0}, {1}, {0, 1}} {
+			for _, k := range []int{1, 5} {
+				for _, alpha := range []float64{0.3, 0.5, 1} {
+					params := query.Params{K: k, Alpha: alpha, Beta: 1.5, GridD: 4, Xi: 3}
+					q := RandQuery(rng, ds, 3, 25, params)
+					if len(pins) > 0 && !PinDims(rng, ds, q, pins...) {
+						continue
+					}
+					if q.Validate(ds) != nil {
+						continue
+					}
+					name := fmt.Sprintf("ds%d/pins%v/k%d/alpha%g", i, pins, k, alpha)
+					cases = append(cases, BoundCase{Name: name, DS: ds, Ix: ix, Q: q})
+				}
+			}
+		}
+	}
+	return cases
+}
+
+// CancelAfter is a context whose Err reports context.Canceled from its
+// N-th call on and whose Done never fires, so a test can cancel a search
+// at a chosen Err poll. Calls counts the polls; Err must be called from
+// one goroutine.
+type CancelAfter struct {
+	context.Context
+	N, Calls int
+}
+
+// Err counts the poll and reports context.Canceled from the N-th on.
+func (c *CancelAfter) Err() error {
+	c.Calls++
+	if c.Calls >= c.N {
+		return context.Canceled
+	}
+	return nil
 }
 
 // Sims extracts the similarity series of a result list, best-first.
